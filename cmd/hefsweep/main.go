@@ -61,7 +61,7 @@ func run() int {
 	straggler := flag.Duration("straggler-after", 0, "speculatively re-lease a range still uncommitted after this long (0 selects 3x -lease-ttl)")
 	maxLeases := flag.Int("max-leases", 2, "concurrent leases per range once speculation kicks in")
 	failLimit := flag.Int("fail-limit", 3, "range failure reports tolerated before the sweep fails")
-	linger := flag.Duration("linger", 3*time.Second, "keep serving after completion so polling workers observe done and exit")
+	linger := flag.Duration("linger", 3*time.Second, "keep serving at least this long after completion, and then until every worker has seen done or been silent for -lease-ttl, so polling workers observe done and exit")
 	authKeys := flag.String("auth-keys", "", "API key file (\"<key> <name> [scope=ro]\" per line); SIGHUP reloads it (empty disables auth)")
 	heartbeat := flag.Duration("heartbeat", 0, "emit a structured progress line to stderr at this interval (0 disables)")
 	flag.Parse()
@@ -224,11 +224,18 @@ func run() int {
 		}
 	}
 
-	// Keep answering /v1/lease with done:true for a beat so workers polling
-	// for more work observe completion and exit instead of retrying against
-	// a vanished coordinator.
+	// Keep answering /v1/lease with done:true for at least -linger, then
+	// until every worker has been told or has gone silent for a lease TTL,
+	// so workers polling for more work observe completion and exit instead
+	// of retrying against a vanished coordinator.
 	select {
 	case <-time.After(*linger):
+		for !coord.WorkersReleased() && ctx.Err() == nil {
+			select {
+			case <-time.After(50 * time.Millisecond):
+			case <-ctx.Done():
+			}
+		}
 	case <-ctx.Done():
 	}
 	tel.SetDraining()

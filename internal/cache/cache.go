@@ -7,6 +7,7 @@ package cache
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"hef/internal/isa"
@@ -171,6 +172,91 @@ const (
 	streamDepth     = 8
 )
 
+// streamTable is the prefetcher's stream table plus an exact index over it,
+// so neither matching an access nor choosing a victim scans the slots.
+//
+// The policy the index implements: an access to line matches the
+// lowest-index slot in use whose nextLine equals line; with no match, the
+// victim is the slot with the lowest lastUsed, the lowest index on ties. A
+// slot is in use once allocated, and then has nextLine = some line+1 > 0 and
+// lastUsed = the access clock at its last touch, which is at least 1. Every
+// access touches at most one slot, so slots in use have distinct lastUsed
+// values, and unused slots all have lastUsed 0. The victim is therefore the
+// lowest unused slot if any, else the least recently touched slot.
+//
+// The zero value is the empty table. Journal windows and snapshots copy the
+// whole struct, index included.
+type streamTable struct {
+	slots [streamTableSize]stream
+	// byLine[b] has bit i set iff slot i is in use and slots[i].nextLine&63
+	// == b: the candidates for a match against a line with low bits b.
+	byLine [64]uint16
+	// used has bit i set iff slot i is in use.
+	used uint16
+	// Slots in use form a list in recency order, least recent (lru) to most
+	// recent (mru), linked through older/newer (-1 ends it). AdvanceSteady
+	// shifts every lastUsed by the same amount and leaves the order alone.
+	older, newer [streamTableSize]int8
+	lru, mru     int8
+}
+
+// match returns the lowest-index slot in use that predicts line, or -1.
+func (t *streamTable) match(line uint64) int {
+	for m := t.byLine[line&63]; m != 0; m &= m - 1 {
+		if i := bits.TrailingZeros16(m); t.slots[i].nextLine == line {
+			return i
+		}
+	}
+	return -1
+}
+
+// victim returns the slot to reallocate: the lowest unused slot, else the
+// least recently touched one.
+func (t *streamTable) victim() int {
+	if t.used != 1<<streamTableSize-1 {
+		return bits.TrailingZeros16(^t.used)
+	}
+	return int(t.lru)
+}
+
+// set points slot i at nextLine with the given hit count and marks it the
+// most recently touched at clock now.
+func (t *streamTable) set(i int, nextLine uint64, hits int, now uint64) {
+	bit := uint16(1) << i
+	st := &t.slots[i]
+	if t.used&bit != 0 {
+		t.byLine[st.nextLine&63] &^= bit
+		if int(t.mru) != i {
+			// Unlink i; it is not the most recent, so newer[i] >= 0.
+			o, n := t.older[i], t.newer[i]
+			t.older[n] = o
+			if o >= 0 {
+				t.newer[o] = n
+			} else {
+				t.lru = n
+			}
+			t.pushMRU(i)
+		}
+	} else {
+		if t.used == 0 {
+			t.lru, t.mru = int8(i), -1
+		}
+		t.used |= bit
+		t.pushMRU(i)
+	}
+	*st = stream{nextLine: nextLine, hits: hits, lastUsed: now}
+	t.byLine[nextLine&63] |= bit
+}
+
+// pushMRU links slot i after the current most recent slot (if any).
+func (t *streamTable) pushMRU(i int) {
+	t.older[i], t.newer[i] = t.mru, -1
+	if t.mru >= 0 {
+		t.newer[t.mru] = int8(i)
+	}
+	t.mru = int8(i)
+}
+
 // Hierarchy is a three-level inclusive cache hierarchy in front of main
 // memory, with a stream-detecting hardware prefetcher.
 type Hierarchy struct {
@@ -178,7 +264,7 @@ type Hierarchy struct {
 	memLatency  int
 	lineShift   uint
 
-	streams  [streamTableSize]stream
+	streams  streamTable
 	accessNo uint64
 	jr       journal
 
@@ -241,37 +327,27 @@ func (h *Hierarchy) Access(addr uint64) (latency, levelHit int) {
 }
 
 // runStreamPrefetcher matches line against the stream table; on a confirmed
-// stream it installs lines ahead of the demand access.
+// stream it installs lines ahead of the demand access. With no match it
+// allocates a stream predicting line+1 in the victim slot.
 func (h *Hierarchy) runStreamPrefetcher(line uint64) {
-	for i := range h.streams {
-		st := &h.streams[i]
-		if st.nextLine != line || st.nextLine == 0 {
-			continue
-		}
-		st.nextLine = line + 1
-		st.hits++
-		st.lastUsed = h.accessNo
-		if st.hits >= 2 {
-			for k := uint64(1); k <= streamDepth; k++ {
-				if lvl := h.installIfAbsent(line + k); lvl > 0 {
-					h.hwPrefetchFills++
-					if lvl == 4 {
-						h.hwPrefetchMem++
-					}
+	t := &h.streams
+	i := t.match(line)
+	if i < 0 {
+		t.set(t.victim(), line+1, 0, h.accessNo)
+		return
+	}
+	hits := t.slots[i].hits + 1
+	t.set(i, line+1, hits, h.accessNo)
+	if hits >= 2 {
+		for k := uint64(1); k <= streamDepth; k++ {
+			if lvl := h.installIfAbsent(line + k); lvl > 0 {
+				h.hwPrefetchFills++
+				if lvl == 4 {
+					h.hwPrefetchMem++
 				}
 			}
 		}
-		return
 	}
-	// No stream matched: allocate one predicting line+1, replacing the
-	// least-recently-used slot.
-	victim := 0
-	for i := 1; i < len(h.streams); i++ {
-		if h.streams[i].lastUsed < h.streams[victim].lastUsed {
-			victim = i
-		}
-	}
-	h.streams[victim] = stream{nextLine: line + 1, lastUsed: h.accessNo}
 }
 
 // installIfAbsent brings a line into all levels without touching the demand
@@ -395,8 +471,8 @@ func (h *Hierarchy) AppendSteadyState(buf []byte, lines []uint64) []byte {
 			}
 		}
 	}
-	for i := range h.streams {
-		st := &h.streams[i]
+	for i := range h.streams.slots {
+		st := &h.streams.slots[i]
 		hits := st.hits
 		if hits > 2 {
 			// The prefetch trigger only distinguishes <2 from >=2.
@@ -429,9 +505,9 @@ func (h *Hierarchy) AdvanceSteady(k int64, d Stats, dAccess uint64) {
 	h.hwPrefetchMem += kk * d.HWPrefetchMem
 	h.swPrefetchMem += kk * d.SWPrefetchMem
 	h.accessNo += kk * dAccess
-	for i := range h.streams {
-		if h.streams[i].lastUsed != 0 {
-			h.streams[i].lastUsed += kk * dAccess
+	for i := range h.streams.slots {
+		if st := &h.streams.slots[i]; st.lastUsed != 0 {
+			st.lastUsed += kk * dAccess
 		}
 	}
 }
@@ -441,7 +517,7 @@ func (h *Hierarchy) Reset() {
 	h.l1.reset()
 	h.l2.reset()
 	h.llc.reset()
-	h.streams = [streamTableSize]stream{}
+	h.streams = streamTable{}
 	h.memAccesses, h.prefetchFills, h.hwPrefetchFills = 0, 0, 0
 	h.hwPrefetchMem, h.swPrefetchMem = 0, 0
 }

@@ -34,7 +34,7 @@ type journal struct {
 	tags    []uint64 // arena backing every entry's saved contents
 
 	// Scalar state at BeginJournal, restored wholesale on rollback.
-	streams  [streamTableSize]stream
+	streams  streamTable
 	accessNo uint64
 	stats    Stats
 }
@@ -119,7 +119,7 @@ type Snapshot struct {
 	tags [3][]uint64
 	lens [3][]int32
 
-	streams  [streamTableSize]stream
+	streams  streamTable
 	accessNo uint64
 	stats    Stats
 }

@@ -132,6 +132,15 @@ type Coordinator struct {
 	counts   Counts
 	doneCh   chan struct{}
 	closed   bool
+	// workers holds, per worker name, the last time it reached the
+	// coordinator and whether a reply has told it the sweep is complete.
+	workers map[string]*workerContact
+}
+
+// workerContact is what the coordinator knows of one worker's liveness.
+type workerContact struct {
+	last time.Time
+	told bool
 }
 
 // NewCoordinator opens (or resumes) a coordinator over cfg.DataDir. An
@@ -153,6 +162,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		results: map[string]json.RawMessage{},
 		leases:  map[string]*lease{},
 		doneCh:  make(chan struct{}),
+		workers: map[string]*workerContact{},
 	}
 
 	// Replay: collect records first, then rebuild state, so grants and
@@ -272,9 +282,11 @@ func (c *Coordinator) RegisterPlan(req *PlanRequest) (*PlanResponse, error) {
 	} else if err := c.matchPlanLocked(req); err != nil {
 		return nil, err
 	}
+	done := c.doneN == len(c.plan.ranges)
+	c.contactLocked(req.Worker, done)
 	return &PlanResponse{
 		PlanHash: c.plan.hash, Ranges: len(c.plan.ranges),
-		RangeSize: c.plan.rangeSize, Done: c.doneN == len(c.plan.ranges),
+		RangeSize: c.plan.rangeSize, Done: done,
 	}, nil
 }
 
@@ -311,6 +323,7 @@ func (c *Coordinator) requirePlanLocked(planHash string) error {
 func (c *Coordinator) Lease(req *LeaseRequest) (*LeaseResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.contactLocked(req.Worker, false)
 	c.expireLocked()
 	if c.failed != "" {
 		return nil, errProto(http.StatusConflict, CodeSweepFailed, "%s", c.failed)
@@ -319,6 +332,7 @@ func (c *Coordinator) Lease(req *LeaseRequest) (*LeaseResponse, error) {
 		return nil, err
 	}
 	if c.doneN == len(c.plan.ranges) {
+		c.contactLocked(req.Worker, true)
 		return &LeaseResponse{Done: true}, nil
 	}
 
@@ -392,6 +406,7 @@ func (c *Coordinator) Lease(req *LeaseRequest) (*LeaseResponse, error) {
 func (c *Coordinator) Heartbeat(req *HeartbeatRequest) (*HeartbeatResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.contactLocked(req.Worker, false)
 	c.expireLocked()
 	l, ok := c.leases[req.LeaseID]
 	if !ok || l.worker != req.Worker {
@@ -413,6 +428,7 @@ func (c *Coordinator) Heartbeat(req *HeartbeatRequest) (*HeartbeatResponse, erro
 func (c *Coordinator) Commit(req *ResultRequest) (*ResultResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.contactLocked(req.Worker, false)
 	c.expireLocked()
 	if err := c.requirePlanLocked(req.PlanHash); err != nil {
 		return nil, err
@@ -498,6 +514,7 @@ func (c *Coordinator) Commit(req *ResultRequest) (*ResultResponse, error) {
 func (c *Coordinator) Fail(req *FailRequest) (*FailResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.contactLocked(req.Worker, false)
 	c.expireLocked()
 	if err := c.requirePlanLocked(req.PlanHash); err != nil {
 		return nil, err
@@ -544,6 +561,35 @@ func (c *Coordinator) Status() *StatusResponse {
 		s.Done = c.doneN == len(c.plan.ranges)
 	}
 	return s
+}
+
+// WorkersReleased reports whether every worker that has reached this
+// coordinator has been told the sweep is complete, or has been silent for a
+// lease TTL and is presumed gone. Serving until then lets a worker that was
+// waiting between polls when the last range committed see done, instead of
+// retrying against a coordinator that has exited.
+func (c *Coordinator) WorkersReleased() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	now := c.clock.Now()
+	for _, w := range c.workers {
+		if !w.told && now.Sub(w.last) < c.cfg.LeaseTTL {
+			return false
+		}
+	}
+	return true
+}
+
+// contactLocked records a request from worker; told marks a reply that
+// tells it the sweep is complete.
+func (c *Coordinator) contactLocked(worker string, told bool) {
+	w := c.workers[worker]
+	if w == nil {
+		w = &workerContact{}
+		c.workers[worker] = w
+	}
+	w.last = c.clock.Now()
+	w.told = w.told || told
 }
 
 // Counts snapshots the robustness counters.

@@ -144,6 +144,22 @@ func TestCoordinatorLeaseExpiryAndReassignment(t *testing.T) {
 	if err != nil || !lr.Done {
 		t.Fatalf("lease after completion %+v, %v", lr, err)
 	}
+
+	// Workers are released once each has been told the sweep is done or
+	// has been silent for a lease TTL: w1 has been told, w2 and w3 not yet.
+	if c.WorkersReleased() {
+		t.Fatal("workers released before w2 and w3 saw done")
+	}
+	if lr, err := c.Lease(&LeaseRequest{Worker: "w3", PlanHash: pr.PlanHash}); err != nil || !lr.Done {
+		t.Fatalf("w3 lease after completion %+v, %v", lr, err)
+	}
+	if c.WorkersReleased() {
+		t.Fatal("workers released while w2, silent less than a TTL, has not seen done")
+	}
+	clock.Advance(10 * time.Second)
+	if !c.WorkersReleased() {
+		t.Fatal("workers not released after w2 was silent for a lease TTL")
+	}
 }
 
 func TestCoordinatorSpeculativeRedispatch(t *testing.T) {

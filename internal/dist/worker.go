@@ -154,6 +154,22 @@ func fatalCode(code string) bool {
 	return false
 }
 
+// ErrCoordinatorGone is returned by RunWorker when every request to the
+// coordinator has failed at the transport level for goneAfterTTLs lease
+// TTLs in a row: the coordinator has exited or is cut off, and a worker that
+// kept polling it would wait forever. A coordinator that merely restarts
+// answers again well within that window.
+var ErrCoordinatorGone = errors.New("dist: coordinator gone")
+
+const (
+	// defaultLeaseTTL stands in for the lease TTL until the coordinator
+	// reports one with a grant.
+	defaultLeaseTTL = 15 * time.Second
+	// goneAfterTTLs is how many lease TTLs of consecutive transport failures
+	// make the worker give up with ErrCoordinatorGone.
+	goneAfterTTLs = 4
+)
+
 // worker is one RunWorker invocation's state.
 type worker[T any] struct {
 	cfg      WorkerConfig
@@ -163,6 +179,13 @@ type worker[T any] struct {
 	ids      []string
 	planHash string
 	stats    *WorkerStats
+
+	// ttl is the lease TTL the coordinator last reported (defaultLeaseTTL
+	// before any grant). failingSince is when the current run of
+	// consecutive transport failures began, zero while the coordinator
+	// answers.
+	ttl          time.Duration
+	failingSince time.Time
 }
 
 // RunWorker participates in a distributed sweep until it is complete: it
@@ -170,8 +193,10 @@ type worker[T any] struct {
 // is refused, not mixed in), then leases ranges, runs them on a local
 // sched.RunSweep pool, heartbeats while computing, and commits marshalled
 // results. Transport errors back off and retry — commits are idempotent on
-// the coordinator, so at-least-once delivery is safe. It returns when the
-// coordinator reports the sweep done, the sweep fails, or ctx is cancelled.
+// the coordinator, so at-least-once delivery is safe — until they have
+// lasted goneAfterTTLs lease TTLs in a row, when it returns
+// ErrCoordinatorGone. Otherwise it returns when the coordinator reports the
+// sweep done, the sweep fails, or ctx is cancelled.
 func RunWorker[T any](ctx context.Context, cfg WorkerConfig, tasks []sched.Task[T]) (*WorkerStats, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Coordinator == "" {
@@ -188,6 +213,7 @@ func RunWorker[T any](ctx context.Context, cfg WorkerConfig, tasks []sched.Task[
 		tasks: tasks, ids: ids,
 		planHash: HashPlan(cfg.Tool, cfg.Fingerprint, ids),
 		stats:    &WorkerStats{},
+		ttl:      defaultLeaseTTL,
 	}
 	return w.stats, w.run(ctx)
 }
@@ -208,6 +234,26 @@ func (w *worker[T]) sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
+// track records the outcome of a coordinator request. Any reply, success
+// or typed refusal, ends a run of transport failures; a transport failure
+// extends it, and once the run spans goneAfterTTLs lease TTLs track returns
+// ErrCoordinatorGone naming err.
+func (w *worker[T]) track(err error) error {
+	var pe *ProtoError
+	if err == nil || errors.As(err, &pe) {
+		w.failingSince = time.Time{}
+		return nil
+	}
+	now := w.cfg.Clock.Now()
+	if w.failingSince.IsZero() {
+		w.failingSince = now
+	}
+	if span := now.Sub(w.failingSince); span >= goneAfterTTLs*w.ttl {
+		return fmt.Errorf("%w: unreachable for %v: %v", ErrCoordinatorGone, span.Round(time.Millisecond), err)
+	}
+	return nil
+}
+
 // backoff is the deterministic exponential schedule for transient errors.
 func (w *worker[T]) backoff(attempt int) time.Duration {
 	d := 50 * time.Millisecond << uint(min(attempt, 10))
@@ -226,6 +272,9 @@ func (w *worker[T]) register(ctx context.Context) error {
 			Version: ProtocolVersion, Tool: w.cfg.Tool, Fingerprint: w.cfg.Fingerprint,
 			TaskIDs: w.ids, Worker: w.cfg.Name,
 		}, &pr)
+		if gerr := w.track(err); gerr != nil {
+			return gerr
+		}
 		if err == nil {
 			if pr.PlanHash != w.planHash {
 				return fmt.Errorf("dist: coordinator accepted plan %s, this worker computed %s", pr.PlanHash, w.planHash)
@@ -256,6 +305,9 @@ func (w *worker[T]) run(ctx context.Context) error {
 		}
 		var lr LeaseResponse
 		err := w.cl.post(ctx, "/v1/lease", &LeaseRequest{Worker: w.cfg.Name, PlanHash: w.planHash}, &lr)
+		if gerr := w.track(err); gerr != nil {
+			return gerr
+		}
 		if err != nil {
 			var pe *ProtoError
 			switch {
@@ -293,6 +345,9 @@ func (w *worker[T]) run(ctx context.Context) error {
 			}
 			continue
 		}
+		if lr.TTLMS > 0 {
+			w.ttl = time.Duration(lr.TTLMS) * time.Millisecond
+		}
 		if err := w.runLease(ctx, &lr); err != nil {
 			return err
 		}
@@ -324,10 +379,7 @@ func (w *worker[T]) runLease(ctx context.Context, lr *LeaseResponse) error {
 	// Heartbeat at a third of the TTL while the range computes. Heartbeat
 	// failures never stop the work: commitment is lease-independent, so the
 	// worst case is another worker duplicating byte-identical results.
-	ttl := time.Duration(lr.TTLMS) * time.Millisecond
-	if ttl <= 0 {
-		ttl = 15 * time.Second
-	}
+	ttl := w.ttl
 	hbCtx, hbStop := context.WithCancel(ctx)
 	hbDone := make(chan struct{})
 	go func() {
@@ -420,6 +472,9 @@ func (w *worker[T]) commit(ctx context.Context, lr *LeaseResponse, sub []sched.T
 			Worker: w.cfg.Name, PlanHash: w.planHash, LeaseID: lr.LeaseID,
 			RangeIdx: lr.RangeIdx, Range: lr.Range, Results: results,
 		}, &rr)
+		if gerr := w.track(err); gerr != nil {
+			return gerr
+		}
 		if err == nil {
 			w.stats.Ranges++
 			w.stats.Tasks += len(sub)

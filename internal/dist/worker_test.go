@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -317,5 +318,50 @@ func TestWorkerSurvivesCoordinatorRestart(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Fatalf("post-restart merged checkpoint differs from serial run")
+	}
+}
+
+// TestWorkerGivesUpOnVanishedCoordinator: a coordinator that goes away
+// mid-sweep — here its listener closes while the worker computes a range —
+// must not leave the worker retrying forever. Once its requests have failed
+// at the transport level for goneAfterTTLs lease TTLs the worker returns
+// ErrCoordinatorGone, well inside the test's deadline.
+func TestWorkerGivesUpOnVanishedCoordinator(t *testing.T) {
+	leakcheck.Check(t)
+	const tool, fp = "testsweep", "seed=3 n=8"
+	c, err := NewCoordinator(Config{DataDir: t.TempDir(), RangeSize: 2, LeaseTTL: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	srv := httptest.NewServer(NewHandler(c, nil, nil))
+	var closeOnce sync.Once
+	closeSrv := func() { closeOnce.Do(srv.Close) }
+	defer closeSrv()
+
+	// The third task (second range) closes the listener and keeps
+	// computing, so the commit and every later request find no one there.
+	tasks := e2eTasks(8)
+	run := tasks[2].Run
+	tasks[2].Run = func(ctx context.Context) (taskResult, error) {
+		closeSrv()
+		return run(ctx)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	stats, err := RunWorker(ctx, WorkerConfig{
+		Coordinator: srv.URL, Name: "orphan", Tool: tool, Fingerprint: fp,
+		LogW: newTestLogWriter(t),
+	}, tasks)
+	if !errors.Is(err, ErrCoordinatorGone) {
+		t.Fatalf("RunWorker after the coordinator vanished: err = %v, want ErrCoordinatorGone", err)
+	}
+	if ctx.Err() != nil {
+		t.Fatalf("worker gave up only at the test deadline (%v)", time.Since(start))
+	}
+	if stats.Ranges != 1 {
+		t.Errorf("committed %d ranges, want 1 (the range before the listener closed)", stats.Ranges)
 	}
 }

@@ -277,35 +277,39 @@ type Sim struct {
 	rs []int32 // indices into the ROB arrays, age order, waiting to issue
 
 	// rsCount is the number of dispatched-but-unissued entries (the scheduler
-	// occupancy). In event-scheduler mode the rs slice stays empty and the
-	// waiting set lives in readySet/timeHeap/watcher lists instead.
+	// occupancy). Entries of srcSafe bodies wait in the event-driven
+	// structures below; the rest wait in rs.
 	rsCount int
 
-	// Event-driven scheduler state, used for skeleton.fastScan bodies. An
-	// entry whose operands are all resolved has a final data-ready cycle
-	// (single-writer bodies: a sampled producer completion can never change):
-	// it waits in timeHeap until that cycle arrives, then moves to readySet,
-	// which holds the data-ready entries in age order — the only entries a
-	// scan must visit. Entries with unissued producers are parked on per-cell
+	// Event-driven scheduler state, used for srcSafe bodies. An entry whose
+	// operands are all resolved has a final data-ready cycle (single-writer
+	// bodies: a sampled producer completion can never change): it waits in
+	// timeHeap until that cycle arrives, then moves to its fate group's
+	// ready list. Entries with unissued producers are parked on per-cell
 	// watcher lists: watchHead[cell] heads a list threaded through watchNext
 	// (node n watches the cell robSrc[n] names; n/3 is its ROB entry), and
 	// the producer's issue walks the list, folds its completion into each
 	// watcher's readyAt, and moves watchers whose last operand just resolved
 	// (waitCnt reaches zero) into timeHeap.
-	readySet  []int32
 	timeHeap  []timedEntry
 	waitCnt   []uint8
 	readyAt   []int64
 	watchHead []int32
 	watchNext []int32
 
-	// blockedGen/blockedRetry memoize, per body µop within one scan
-	// (stamped by scanGen), a failed tryIssue's retry bound: execution
-	// resources only shrink as a scan proceeds, so a later same-body entry
-	// must fail identically and is skipped.
-	blockedGen   []int64
-	blockedRetry []int64
-	scanGen      int64
+	// groupReady[g] holds the data-ready entries of fate group g (see
+	// skeleton.group) in age order; readyMask has bit g set iff it is
+	// non-empty. A scan visits a group only through its head (issueScan):
+	// groupHead/headSeq are the scan's cursor into each list and the age of
+	// the entry under it, and blockedRetry[g] is the retry bound of a group
+	// whose head failed during the scan. Every group of the bound skeleton
+	// has a list; lists are allocated at full ROB capacity, so insertion
+	// never grows one.
+	groupReady   [][]int32
+	readyMask    uint64
+	groupHead    [maxFateGroups]int32
+	headSeq      [maxFateGroups]int64
+	blockedRetry [maxFateGroups]int64
 
 	// slab is the register completion ring: cell (iter&regRingMask)*numRegs
 	// + reg holds the completion cycle of that register instance, or
@@ -435,7 +439,6 @@ func NewSim(cpu *isa.CPU) *Sim {
 	s.waitCnt = make([]uint8, robCap)
 	s.readyAt = make([]int64, robCap)
 	s.watchNext = make([]int32, 3*robCap)
-	s.readySet = make([]int32, 0, robCap)
 	s.timeHeap = make([]timedEntry, 0, robCap)
 	return s
 }
@@ -481,18 +484,22 @@ func (s *Sim) popTimed() int32 {
 	return ei
 }
 
-// insertReady places a matured entry into readySet at its age position, so
-// the scan visits data-ready entries in exactly the order the exhaustive
-// age-ordered scan would attempt them.
+// ageSeq is entry ei's position in program order: the order in which an
+// exhaustive scan over all waiting entries would attempt them.
+func (s *Sim) ageSeq(ei int32) int64 {
+	return s.robIter[ei]*int64(s.skel.bodyLen) + int64(s.robBody[ei])
+}
+
+// insertReady places a matured entry into its fate group's ready list at
+// its age position.
 func (s *Sim) insertReady(ei int32) {
-	bl := int64(s.skel.bodyLen)
-	seq := s.robIter[ei]*bl + int64(s.robBody[ei])
-	rdy := s.readySet
+	g := s.skel.group[s.robBody[ei]]
+	seq := s.ageSeq(ei)
+	rdy := s.groupReady[g]
 	lo, hi := 0, len(rdy)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		m := rdy[mid]
-		if s.robIter[m]*bl+int64(s.robBody[m]) < seq {
+		if s.ageSeq(rdy[mid]) < seq {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -501,7 +508,8 @@ func (s *Sim) insertReady(ei int32) {
 	rdy = append(rdy, 0)
 	copy(rdy[lo+1:], rdy[lo:])
 	rdy[lo] = ei
-	s.readySet = rdy
+	s.groupReady[g] = rdy
+	s.readyMask |= 1 << g
 }
 
 // occLUT precomputes OccHist.Record's bucket for every occupancy 0..cap.
@@ -647,188 +655,9 @@ func (s *Sim) RunInto(res *Result, prog *Program, iters int64) error {
 		// provably fruitless (no slab cell changed since the bound was
 		// sampled) and is skipped wholesale; the cycle still accounts as an
 		// ordinary zero-issue cycle.
-		issuedUops := 0
-		issuedInstrs := 0
-		if cycle >= s.rsNextReady && (len(s.rs) > 0 || len(s.timeHeap) > 0 || len(s.readySet) > 0) {
-			// Mature event-tracked entries whose data-ready cycle has arrived
-			// into the age-ordered ready set.
-			for len(s.timeHeap) > 0 && s.timeHeap[0].at <= cycle {
-				s.insertReady(s.popTimed())
-			}
-			if len(s.rs) == 0 && len(s.readySet) == 0 {
-				// Every waiting entry is event-tracked with a future ready
-				// cycle: the heap minimum (non-empty here) is the exact next.
-				s.rsNextReady = s.timeHeap[0].at
-			} else {
-				// Snapshot port availability once; claims clear bits as the
-				// scan proceeds, and the lowest set bit of a class's masked
-				// ports is exactly the port an ascending scan would pick.
-				pm := uint32(0)
-				for i, f := range s.portFree {
-					if f <= cycle {
-						pm |= 1 << i
-					}
-				}
-				if s.perturb != nil && s.perturb.PortFaultRate > 0 {
-					for m := pm; m != 0; m &= m - 1 {
-						p := bits.TrailingZeros32(m)
-						if s.perturb.PortFault(p, cycle) {
-							pm &^= 1 << p
-						}
-					}
-				}
-				s.portMask = pm
-				s.scanGen++
-				gen := s.scanGen
-
-				minNext := int64(math.MaxInt64)
-				if len(s.timeHeap) > 0 {
-					minNext = s.timeHeap[0].at
-				}
-				// Merge-walk the resampled list and the ready set in age
-				// order, reproducing the attempt sequence of one exhaustive
-				// age-ordered scan over all waiting entries (event-tracked
-				// entries that are not yet ready are provably unissuable this
-				// cycle and need no visit).
-				bl := int64(bodyLen)
-				rs := s.rs
-				rdy := s.readySet
-				ai, bi := 0, 0
-				wa, wb := 0, 0
-				aSeq, bSeq := int64(math.MaxInt64), int64(math.MaxInt64)
-				if len(rs) > 0 {
-					aSeq = s.robIter[rs[0]]*bl + int64(s.robBody[rs[0]])
-				}
-				if len(rdy) > 0 {
-					bSeq = s.robIter[rdy[0]]*bl + int64(s.robBody[rdy[0]])
-				}
-				for ai < len(rs) || bi < len(rdy) {
-					fromA := aSeq <= bSeq
-					var ei int32
-					if fromA {
-						ei = rs[ai]
-					} else {
-						ei = rdy[bi]
-					}
-					issued := false
-					if issuedInstrs < issueInstrCap {
-						attempt := true
-						if fromA {
-							// Live-sample this entry's operand cells: its
-							// watched registers can be rewritten (accumulator
-							// redefinitions), so only current values decide.
-							so := int(ei) * 3
-							n := int(s.robSrcCnt[ei])
-							var ready int64
-							for k := 0; k < n; k++ {
-								v := slab[s.robSrc[so+k]]
-								if v == notIssued {
-									attempt = false
-									break
-								}
-								if v > ready {
-									ready = v
-								}
-							}
-							if attempt && ready > cycle {
-								// Data-ready at a known future cycle: a
-								// candidate for the scan-skip bound.
-								if ready < minNext {
-									minNext = ready
-								}
-								attempt = false
-							}
-						}
-						if attempt {
-							b := s.robBody[ei]
-							if s.blockedGen[b] == gen {
-								// A same-body entry already failed this scan
-								// and resources only shrink within one: same
-								// outcome, same bound.
-								if s.blockedRetry[b] < minNext {
-									minNext = s.blockedRetry[b]
-								}
-							} else if lat, ok := s.tryIssue(ei, b, cycle); !ok {
-								// Blocked on execution resources: retryAt is
-								// the earliest the failing conditions clear.
-								s.blockedGen[b] = gen
-								s.blockedRetry[b] = s.retryAt
-								if s.retryAt < minNext {
-									minNext = s.retryAt
-								}
-							} else {
-								issued = true
-								comp := cycle + int64(lat)
-								s.robIssued[ei] = true
-								s.robCompletion[ei] = comp
-								s.rsCount--
-								if o := s.robDst[ei]; o >= 0 {
-									slab[o] = comp
-									// Wake the consumers parked on this cell.
-									for node := s.watchHead[o]; node >= 0; node = s.watchNext[node] {
-										we := node / 3
-										if comp > s.readyAt[we] {
-											s.readyAt[we] = comp
-										}
-										s.waitCnt[we]--
-										if s.waitCnt[we] == 0 {
-											s.pushTimed(s.readyAt[we], we)
-										}
-									}
-									s.watchHead[o] = -1
-								}
-								s.inflight.push(comp)
-								if s.trace != nil {
-									s.trace.add(TraceEvent{Kind: TraceIssue, Cycle: cycle, Dur: int64(lat), Iter: s.robIter[ei], Body: b, Name: sk.body[b].Instr.Name, Port: s.lastPort, Level: s.lastLevel})
-									s.trace.add(TraceEvent{Kind: TraceComplete, Cycle: comp, Iter: s.robIter[ei], Body: b, Name: sk.body[b].Instr.Name, Port: s.lastPort, Level: s.lastLevel})
-								}
-								issuedUops += int(sk.uops[b])
-								issuedInstrs++
-								if sk.w512[b] {
-									res.Vec512Uops += uint64(sk.uops[b])
-								}
-								if sk.class[b] == isa.Prefetch {
-									res.PrefetchUops++
-								}
-							}
-						}
-					}
-					if fromA {
-						if !issued {
-							rs[wa] = ei
-							wa++
-						}
-						ai++
-						if ai < len(rs) {
-							aSeq = s.robIter[rs[ai]]*bl + int64(s.robBody[rs[ai]])
-						} else {
-							aSeq = int64(math.MaxInt64)
-						}
-					} else {
-						if !issued {
-							rdy[wb] = ei
-							wb++
-						}
-						bi++
-						if bi < len(rdy) {
-							bSeq = s.robIter[rdy[bi]]*bl + int64(s.robBody[rdy[bi]])
-						} else {
-							bSeq = int64(math.MaxInt64)
-						}
-					}
-				}
-				s.rs = rs[:wa]
-				s.readySet = rdy[:wb]
-				if issuedInstrs > 0 || minNext == int64(math.MaxInt64) {
-					// An issue rewrote the slab and resource horizons, so the
-					// sampled bound is void (and the MaxInt64 case is a
-					// defensive clamp against an all-blocked scan with no
-					// finite retry bound).
-					s.rsNextReady = cycle + 1
-				} else {
-					s.rsNextReady = minNext
-				}
-			}
+		issuedUops, issuedInstrs := 0, 0
+		if cycle >= s.rsNextReady && (len(s.rs) > 0 || len(s.timeHeap) > 0 || s.readyMask != 0) {
+			issuedUops, issuedInstrs = s.issueScan(res, cycle)
 		}
 		if Debug && cycle < 300 {
 			fmt.Printf("c%3d: rob=%d rs=%d issued=%d retired=%d dispIter=%d portFree=%v\n",
@@ -1019,6 +848,211 @@ func (s *Sim) RunInto(res *Result, prog *Program, iters int64) error {
 	return nil
 }
 
+// issueScan is one cycle's issue attempt: it matures event-tracked entries
+// whose data-ready cycle has arrived, issues up to issueInstrCap waiting
+// entries in age order, re-arms rsNextReady, and returns the µops and
+// instructions it issued.
+//
+// The attempt sequence equals that of one exhaustive age-ordered walk over
+// every waiting entry, minus attempts whose failure is already proven. The
+// scan merges the resampled rs list with the head of every live fate group
+// (see skeleton.group) and stops at the issue cap, since the walk attempts
+// nothing past it. When a group's head fails, every later member of the
+// group would fail the same way this scan (resources only shrink within a
+// scan), so the group leaves the merge with its tail unvisited; rs entries
+// of a blocked group reuse its recorded retry bound. A group therefore
+// issues a prefix of its list, which is dropped at the end.
+func (s *Sim) issueScan(res *Result, cycle int64) (issuedUops, issuedInstrs int) {
+	for len(s.timeHeap) > 0 && s.timeHeap[0].at <= cycle {
+		s.insertReady(s.popTimed())
+	}
+	if len(s.rs) == 0 && s.readyMask == 0 {
+		// Every waiting entry is event-tracked with a future ready cycle:
+		// the heap minimum (non-empty here) is the exact next.
+		s.rsNextReady = s.timeHeap[0].at
+		return 0, 0
+	}
+	// Snapshot port availability once; claims clear bits as the scan
+	// proceeds, and the lowest set bit of a class's masked ports is exactly
+	// the port an ascending scan would pick.
+	pm := uint32(0)
+	for i, f := range s.portFree {
+		if f <= cycle {
+			pm |= 1 << i
+		}
+	}
+	if s.perturb != nil && s.perturb.PortFaultRate > 0 {
+		for m := pm; m != 0; m &= m - 1 {
+			p := bits.TrailingZeros32(m)
+			if s.perturb.PortFault(p, cycle) {
+				pm &^= 1 << p
+			}
+		}
+	}
+	s.portMask = pm
+
+	minNext := int64(math.MaxInt64)
+	if len(s.timeHeap) > 0 {
+		minNext = s.timeHeap[0].at
+	}
+	sk := s.skel
+	slab := s.slab
+	live := s.readyMask
+	for m := live; m != 0; m &= m - 1 {
+		g := bits.TrailingZeros64(m)
+		s.groupHead[g] = 0
+		s.headSeq[g] = s.ageSeq(s.groupReady[g][0])
+	}
+	var blocked uint64
+	rs := s.rs
+	ai, wa := 0, 0
+	aSeq := int64(math.MaxInt64)
+	if len(rs) > 0 {
+		aSeq = s.ageSeq(rs[0])
+	}
+	for issuedInstrs < issueInstrCap {
+		g, gSeq := -1, int64(math.MaxInt64)
+		for m := live; m != 0; m &= m - 1 {
+			if q := bits.TrailingZeros64(m); s.headSeq[q] < gSeq {
+				g, gSeq = q, s.headSeq[q]
+			}
+		}
+		if aSeq < gSeq {
+			ei := rs[ai]
+			ai++
+			if ai < len(rs) {
+				aSeq = s.ageSeq(rs[ai])
+			} else {
+				aSeq = int64(math.MaxInt64)
+			}
+			// Live-sample this entry's operand cells: its watched registers
+			// can be rewritten (accumulator redefinitions), so only current
+			// values decide.
+			so := int(ei) * 3
+			n := int(s.robSrcCnt[ei])
+			attempt := true
+			var ready int64
+			for k := 0; k < n; k++ {
+				v := slab[s.robSrc[so+k]]
+				if v == notIssued {
+					attempt = false
+					break
+				}
+				ready = max(ready, v)
+			}
+			if attempt && ready > cycle {
+				// Data-ready at a known future cycle: a candidate for the
+				// scan-skip bound.
+				minNext = min(minNext, ready)
+				attempt = false
+			}
+			if attempt {
+				b := s.robBody[ei]
+				fg := sk.group[b]
+				if blocked&(1<<fg) != 0 {
+					minNext = min(minNext, s.blockedRetry[fg])
+				} else if lat, ok := s.tryIssue(ei, b, cycle); ok {
+					issuedUops += s.commitIssue(res, ei, b, lat, cycle)
+					issuedInstrs++
+					continue
+				} else {
+					blocked |= 1 << fg
+					live &^= 1 << fg
+					s.blockedRetry[fg] = s.retryAt
+					minNext = min(minNext, s.retryAt)
+				}
+			}
+			rs[wa] = ei
+			wa++
+			continue
+		}
+		if g < 0 {
+			break
+		}
+		list := s.groupReady[g]
+		ei := list[s.groupHead[g]]
+		b := s.robBody[ei]
+		lat, ok := s.tryIssue(ei, b, cycle)
+		if !ok {
+			// Blocked on execution resources: retryAt is the earliest the
+			// failing conditions clear, for every member of the group.
+			blocked |= 1 << g
+			live &^= 1 << g
+			s.blockedRetry[g] = s.retryAt
+			minNext = min(minNext, s.retryAt)
+			continue
+		}
+		issuedUops += s.commitIssue(res, ei, b, lat, cycle)
+		issuedInstrs++
+		s.groupHead[g]++
+		if h := s.groupHead[g]; int(h) < len(list) {
+			s.headSeq[g] = s.ageSeq(list[h])
+		} else {
+			live &^= 1 << g
+		}
+	}
+	wa += copy(rs[wa:], rs[ai:])
+	s.rs = rs[:wa]
+	for m := s.readyMask; m != 0; m &= m - 1 {
+		g := bits.TrailingZeros64(m)
+		if n := s.groupHead[g]; n > 0 {
+			list := s.groupReady[g]
+			k := copy(list, list[n:])
+			s.groupReady[g] = list[:k]
+			if k == 0 {
+				s.readyMask &^= 1 << g
+			}
+		}
+	}
+	if issuedInstrs > 0 || minNext == int64(math.MaxInt64) {
+		// An issue rewrote the slab and resource horizons, so the sampled
+		// bound is void (and the MaxInt64 case is a defensive clamp against
+		// an all-blocked scan with no finite retry bound).
+		s.rsNextReady = cycle + 1
+	} else {
+		s.rsNextReady = minNext
+	}
+	return issuedUops, issuedInstrs
+}
+
+// commitIssue records the issue of ROB entry ei (body µop b) at cycle with
+// result latency lat: it publishes the completion to the register slab,
+// wakes the consumers parked on that cell, and counts the issue. It returns
+// the µops issued.
+func (s *Sim) commitIssue(res *Result, ei, b int32, lat int, cycle int64) int {
+	sk := s.skel
+	comp := cycle + int64(lat)
+	s.robIssued[ei] = true
+	s.robCompletion[ei] = comp
+	s.rsCount--
+	if o := s.robDst[ei]; o >= 0 {
+		s.slab[o] = comp
+		for node := s.watchHead[o]; node >= 0; node = s.watchNext[node] {
+			we := node / 3
+			if comp > s.readyAt[we] {
+				s.readyAt[we] = comp
+			}
+			s.waitCnt[we]--
+			if s.waitCnt[we] == 0 {
+				s.pushTimed(s.readyAt[we], we)
+			}
+		}
+		s.watchHead[o] = -1
+	}
+	s.inflight.push(comp)
+	if s.trace != nil {
+		s.trace.add(TraceEvent{Kind: TraceIssue, Cycle: cycle, Dur: int64(lat), Iter: s.robIter[ei], Body: b, Name: sk.body[b].Instr.Name, Port: s.lastPort, Level: s.lastLevel})
+		s.trace.add(TraceEvent{Kind: TraceComplete, Cycle: comp, Iter: s.robIter[ei], Body: b, Name: sk.body[b].Instr.Name, Port: s.lastPort, Level: s.lastLevel})
+	}
+	if sk.w512[b] {
+		res.Vec512Uops += uint64(sk.uops[b])
+	}
+	if sk.class[b] == isa.Prefetch {
+		res.PrefetchUops++
+	}
+	return int(sk.uops[b])
+}
+
 func statsDelta(a, b cache.Stats) cache.Stats {
 	return cache.Stats{
 		L1Hits: a.L1Hits - b.L1Hits, L1Misses: a.L1Misses - b.L1Misses,
@@ -1038,7 +1072,10 @@ func (s *Sim) reset() {
 	s.robHead, s.robTail, s.robCount, s.uopsInROB = 0, 0, 0, 0
 	s.rs = s.rs[:0]
 	s.rsCount = 0
-	s.readySet = s.readySet[:0]
+	for g := range s.groupReady {
+		s.groupReady[g] = s.groupReady[g][:0]
+	}
+	s.readyMask = 0
 	s.timeHeap = s.timeHeap[:0]
 	for i := range s.portFree {
 		s.portFree[i] = 0

@@ -1,6 +1,8 @@
 package uarch
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -86,6 +88,29 @@ type skeleton struct {
 	// redefine their pinned register every unrolled pack — are instead
 	// re-sampled exhaustively on every scan.
 	srcSafe []bool
+
+	// group is each µop's fate group, numbered 0..numGroups-1 in order of
+	// first appearance in the body. µops of one group have equal class,
+	// w512, isStream and lqSlots: together with the machine state, these are
+	// all tryIssue's outcome depends on. Within one scan the machine's issue
+	// resources only shrink (ports are claimed, memory queues fill, nothing
+	// drains), so once one member fails every later member of the group
+	// fails too, with the same retry bound.
+	group     []int32
+	numGroups int
+}
+
+// maxFateGroups bounds skeleton.numGroups: the scheduler tracks groups in
+// uint64 bitmasks. bind rejects a program with more.
+const maxFateGroups = 64
+
+// fateKey is the part of a µop's static description that decides tryIssue's
+// outcome.
+type fateKey struct {
+	class    isa.Class
+	w512     bool
+	isStream bool
+	lqSlots  int32
 }
 
 // skelKey identifies a skeleton: program content × normalized timing
@@ -253,6 +278,18 @@ func buildSkeleton(prog *Program, lj, oj float64, seed uint64) *skeleton {
 		}
 		sk.srcSafe[i] = safe
 	}
+	sk.group = make([]int32, n)
+	var keys []fateKey
+	for i := 0; i < n; i++ {
+		k := fateKey{sk.class[i], sk.w512[i], sk.isStream[i], sk.lqSlots[i]}
+		g := slices.Index(keys, k)
+		if g < 0 {
+			g = len(keys)
+			keys = append(keys, k)
+		}
+		sk.group[i] = int32(g)
+	}
+	sk.numGroups = len(keys)
 	return sk
 }
 
@@ -270,6 +307,9 @@ func (s *Sim) bind(prog *Program) error {
 		return err
 	}
 	sk := lookupSkeleton(prog, lj, oj, seed)
+	if sk.numGroups > maxFateGroups {
+		return fmt.Errorf("uarch: program %q has %d fate groups, the scheduler supports at most %d", prog.Name, sk.numGroups, maxFateGroups)
+	}
 	s.skel = sk
 	s.skelProg = prog
 	s.skelLat, s.skelOcc, s.skelSeed = lj, oj, seed
@@ -280,12 +320,8 @@ func (s *Sim) bind(prog *Program) error {
 		s.slab = s.slab[:need]
 		s.watchHead = s.watchHead[:need]
 	}
-	if n := sk.bodyLen; cap(s.blockedGen) < n {
-		s.blockedGen = make([]int64, n)
-		s.blockedRetry = make([]int64, n)
-	} else {
-		s.blockedGen = s.blockedGen[:n]
-		s.blockedRetry = s.blockedRetry[:n]
+	for len(s.groupReady) < sk.numGroups {
+		s.groupReady = append(s.groupReady, make([]int32, 0, len(s.robBody)))
 	}
 	return nil
 }

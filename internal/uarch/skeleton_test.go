@@ -3,6 +3,7 @@ package uarch
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hef/internal/isa"
@@ -159,5 +160,30 @@ func TestSkeletonNonTimingPerturbSharesSkeleton(t *testing.T) {
 		if s.skel != sk0 {
 			t.Fatalf("%+v must share the unperturbed skeleton", p)
 		}
+	}
+}
+
+// TestFateGroupLimit: the scheduler tracks fate groups in uint64 bitmasks,
+// so a program with more than maxFateGroups distinct issue inputs — here
+// gathers of as many distinct load-queue footprints — must fail to bind with
+// an error instead of running with aliased groups; one at the limit runs.
+func TestFateGroupLimit(t *testing.T) {
+	gathers := func(n int) *Program {
+		body := make([]UOp, n)
+		for i := range body {
+			in := &isa.Instr{Name: fmt.Sprintf("vgather%d", i), Class: isa.GatherOp, Width: isa.W512,
+				Latency: 4, Occupancy: 1, Uops: 1, Lanes: 2 * (i + 1)}
+			body[i] = UOp{Instr: in, Dst: NoReg, Srcs: [3]int16{NoReg, NoReg, NoReg},
+				Addr: AddrSpec{Kind: AddrRandom, Base: 1 << 30, Region: 1 << 20, Seed: uint64(i)}}
+		}
+		return &Program{Name: skelTestName("fate-limit"), Body: body, NumRegs: 1, ElemsPerIter: 1}
+	}
+	cpu := isa.XeonSilver4110()
+	if _, err := NewSim(cpu).Run(gathers(maxFateGroups), 2); err != nil {
+		t.Fatalf("%d fate groups: %v", maxFateGroups, err)
+	}
+	_, err := NewSim(cpu).Run(gathers(maxFateGroups+1), 2)
+	if err == nil || !strings.Contains(err.Error(), "fate groups") {
+		t.Fatalf("%d fate groups: err = %v, want a fate-group limit error", maxFateGroups+1, err)
 	}
 }
