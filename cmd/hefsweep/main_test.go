@@ -235,7 +235,7 @@ func TestEndToEndMergedReportMatchesSerial(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = dist.RunWorker(context.Background(), dist.WorkerConfig{
+			_, errs[i] = dist.RunWorker(workerCtx(t), dist.WorkerConfig{
 				Coordinator: "http://" + p.addr, Name: fmt.Sprintf("w%d", i),
 				Tool: tool, Fingerprint: fp, Workers: 2,
 				PollMax: 100 * time.Millisecond,
@@ -274,7 +274,7 @@ func TestKillDashNineResumesFromJournal(t *testing.T) {
 	p1 := startCoord(t, dataDir, "-out", outPath, "-range-size", "2", "-linger", "100ms")
 
 	// One worker makes partial progress against the first process.
-	ctx1, cancel1 := context.WithCancel(context.Background())
+	ctx1, cancel1 := context.WithCancel(workerCtx(t))
 	w1done := make(chan struct{})
 	go func() {
 		defer close(w1done)
@@ -293,7 +293,7 @@ func TestKillDashNineResumesFromJournal(t *testing.T) {
 
 	// Restart on the same journal; a new worker finishes the remainder.
 	p2 := startCoord(t, dataDir, "-out", outPath, "-range-size", "2", "-linger", "100ms")
-	if _, err := dist.RunWorker(context.Background(), dist.WorkerConfig{
+	if _, err := dist.RunWorker(workerCtx(t), dist.WorkerConfig{
 		Coordinator: "http://" + p2.addr, Name: "w2",
 		Tool: tool, Fingerprint: fp, PollMax: 50 * time.Millisecond,
 	}, tasks); err != nil {
@@ -350,4 +350,13 @@ func TestSIGTERMRetainsJournal(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dataDir, dist.JournalName)); err != nil {
 		t.Fatalf("journal missing after drain: %v", err)
 	}
+}
+
+// workerCtx bounds one test's RunWorker call: a worker left waiting on a
+// coordinator that has gone fails its test with a deadline error instead of
+// hanging the package until the test binary's timeout.
+func workerCtx(t *testing.T) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	t.Cleanup(cancel)
+	return ctx
 }

@@ -13,13 +13,22 @@ import (
 	"hef/internal/isa"
 )
 
-// level is one cache level as an array of LRU sets.
+// maxWays bounds the associativity a level accepts: a set's occupancy is a
+// uint8.
+const maxWays = 255
+
+// level is one cache level: numSets LRU sets in one flat, pointer-free tag
+// arena. Set s owns tags[s*ways : (s+1)*ways], of which the first occ[s]
+// hold its lines, most recent first. Both slices are plain integers, so a
+// level is two allocations, costs no write barriers to fill, and is never
+// scanned by the garbage collector.
 type level struct {
 	geom     isa.CacheGeom
 	setShift uint
 	setMask  uint64
-	// sets[s] holds up to Ways line tags in LRU order, most recent first.
-	sets [][]uint64
+	ways     int
+	tags     []uint64
+	occ      []uint8
 
 	hits   uint64
 	misses uint64
@@ -34,6 +43,9 @@ func newLevel(g isa.CacheGeom) (*level, error) {
 	if g.LineBytes <= 0 || g.SizeBytes <= 0 || g.Ways <= 0 {
 		return nil, fmt.Errorf("cache: invalid geometry %+v", g)
 	}
+	if g.Ways > maxWays {
+		return nil, fmt.Errorf("cache: %d ways exceeds the supported %d", g.Ways, maxWays)
+	}
 	lines := g.SizeBytes / g.LineBytes
 	numSets := lines / g.Ways
 	if numSets <= 0 || numSets&(numSets-1) != 0 {
@@ -44,27 +56,26 @@ func newLevel(g isa.CacheGeom) (*level, error) {
 	for 1<<shift < g.LineBytes {
 		shift++
 	}
-	lv := &level{
+	return &level{
 		geom:     g,
 		setShift: shift,
 		setMask:  uint64(numSets - 1),
-		sets:     make([][]uint64, numSets),
-	}
-	// Back every set with a slice of one flat arena at full associativity, so
-	// fill never grows a set's backing array: occupancy changes are pure
-	// length changes and the simulator's hot loop stays allocation-free even
-	// as random-address programs keep touching cold sets.
-	arena := make([]uint64, numSets*g.Ways)
-	for i := range lv.sets {
-		lv.sets[i] = arena[i*g.Ways : i*g.Ways : (i+1)*g.Ways]
-	}
-	return lv, nil
+		ways:     g.Ways,
+		tags:     make([]uint64, numSets*g.Ways),
+		occ:      make([]uint8, numSets),
+	}, nil
+}
+
+// set returns the occupied tags of set s, most recent first.
+func (l *level) set(s uint64) []uint64 {
+	base := int(s) * l.ways
+	return l.tags[base : base+int(l.occ[s])]
 }
 
 // lookup probes the level; on a hit the line is moved to MRU position.
 func (l *level) lookup(lineAddr uint64) bool {
 	s := lineAddr & l.setMask
-	set := l.sets[s]
+	set := l.set(s)
 	for i, tag := range set {
 		if tag == lineAddr {
 			if i != 0 {
@@ -84,8 +95,7 @@ func (l *level) lookup(lineAddr uint64) bool {
 
 // present probes the level without updating counters or LRU order.
 func (l *level) present(lineAddr uint64) bool {
-	set := l.sets[lineAddr&l.setMask]
-	for _, tag := range set {
+	for _, tag := range l.set(lineAddr & l.setMask) {
 		if tag == lineAddr {
 			return true
 		}
@@ -99,19 +109,19 @@ func (l *level) fill(lineAddr uint64) {
 	if l.jr.open {
 		l.jr.saveSet(l, s)
 	}
-	set := l.sets[s]
-	if len(set) < l.geom.Ways {
-		set = append(set, 0)
+	n := int(l.occ[s])
+	if n < l.ways {
+		n++
+		l.occ[s] = uint8(n)
 	}
+	base := int(s) * l.ways
+	set := l.tags[base : base+n]
 	copy(set[1:], set)
 	set[0] = lineAddr
-	l.sets[s] = set
 }
 
 func (l *level) reset() {
-	for i := range l.sets {
-		l.sets[i] = l.sets[i][:0]
-	}
+	clear(l.occ)
 	l.hits, l.misses = 0, 0
 }
 
@@ -464,7 +474,7 @@ func (h *Hierarchy) AppendSteadyState(buf []byte, lines []uint64) []byte {
 			if dup {
 				continue
 			}
-			tags := l.sets[set]
+			tags := l.set(set)
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(len(tags)))
 			for _, tag := range tags {
 				buf = binary.LittleEndian.AppendUint64(buf, tag)

@@ -43,12 +43,12 @@ type journal struct {
 // Hot path: the generation compare rejects already-saved sets in one load.
 func (j *journal) saveSet(l *level, s uint64) {
 	if l.gens == nil {
-		l.gens = make([]uint32, len(l.sets))
+		l.gens = make([]uint32, len(l.occ))
 	} else if l.gens[s] == j.gen {
 		return
 	}
 	l.gens[s] = j.gen
-	set := l.sets[s]
+	set := l.set(s)
 	j.entries = append(j.entries, journalEntry{lv: l, set: s, off: int32(len(j.tags)), n: int32(len(set))})
 	j.tags = append(j.tags, set...)
 }
@@ -91,11 +91,9 @@ func (h *Hierarchy) RollbackJournal() {
 	h.setStats(j.stats)
 	for i := range j.entries {
 		e := &j.entries[i]
-		// Sets only grow inside a window (fill appends, nothing shrinks), so
-		// the live slice is at least as long as the saved one.
-		s := e.lv.sets[e.set][:e.n]
-		copy(s, j.tags[e.off:e.off+e.n])
-		e.lv.sets[e.set] = s
+		l := e.lv
+		copy(l.tags[int(e.set)*l.ways:], j.tags[e.off:e.off+e.n])
+		l.occ[e.set] = uint8(e.n)
 	}
 }
 
@@ -115,9 +113,11 @@ func (h *Hierarchy) setStats(s Stats) {
 // stream table, and access clock. Its buffers are reused across Save calls.
 type Snapshot struct {
 	valid bool
-	// Per level: flattened tags plus each set's length.
+	// Per level: every set's occupancy, and the occupied tags of all sets
+	// concatenated in set order. Keeping only occupied tags holds a
+	// snapshot of a sparsely warmed hierarchy small.
 	tags [3][]uint64
-	lens [3][]int32
+	occ  [3][]uint8
 
 	streams  streamTable
 	accessNo uint64
@@ -134,13 +134,11 @@ func (sn *Snapshot) Invalidate() { sn.valid = false }
 func (h *Hierarchy) Save(sn *Snapshot) {
 	for li, l := range []*level{h.l1, h.l2, h.llc} {
 		tags := sn.tags[li][:0]
-		lens := sn.lens[li][:0]
-		for _, set := range l.sets {
-			tags = append(tags, set...)
-			lens = append(lens, int32(len(set)))
+		for s := range l.occ {
+			tags = append(tags, l.set(uint64(s))...)
 		}
 		sn.tags[li] = tags
-		sn.lens[li] = lens
+		sn.occ[li] = append(sn.occ[li][:0], l.occ...)
 	}
 	sn.streams = h.streams
 	sn.accessNo = h.accessNo
@@ -152,18 +150,11 @@ func (h *Hierarchy) Save(sn *Snapshot) {
 // the geometry sn was saved from.
 func (h *Hierarchy) Restore(sn *Snapshot) {
 	for li, l := range []*level{h.l1, h.l2, h.llc} {
+		copy(l.occ, sn.occ[li])
 		off := 0
-		for si, n := range sn.lens[li] {
-			n := int(n)
-			set := l.sets[si]
-			if cap(set) < n {
-				set = make([]uint64, n)
-			} else {
-				set = set[:n]
-			}
-			copy(set, sn.tags[li][off:off+n])
-			l.sets[si] = set
-			off += n
+		for s, n := range l.occ {
+			copy(l.tags[s*l.ways:], sn.tags[li][off:off+int(n)])
+			off += int(n)
 		}
 	}
 	h.streams = sn.streams

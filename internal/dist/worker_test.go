@@ -80,7 +80,7 @@ func TestWorkerEndToEndMatchesSerial(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			stats[i], errs[i] = RunWorker(context.Background(), WorkerConfig{
+			stats[i], errs[i] = RunWorker(workerCtx(t), WorkerConfig{
 				Coordinator: srv.URL, Name: fmt.Sprintf("w%d", i),
 				Tool: tool, Fingerprint: fp, Workers: 2,
 			}, tasks)
@@ -133,7 +133,7 @@ func TestWorkerFatalOnPlanMismatch(t *testing.T) {
 	}
 	// A worker whose flags produce a different fingerprint is refused up
 	// front, before any work runs.
-	_, err = RunWorker(context.Background(), WorkerConfig{
+	_, err = RunWorker(workerCtx(t), WorkerConfig{
 		Coordinator: srv.URL, Tool: "testsweep", Fingerprint: "seed=2",
 	}, tasks)
 	wantCode(t, err, CodePlanMismatch)
@@ -160,7 +160,7 @@ func TestWorkerFailureReporting(t *testing.T) {
 	tasks[1].Run = func(context.Context) (taskResult, error) {
 		return taskResult{}, fmt.Errorf("synthetic failure")
 	}
-	_, err = RunWorker(context.Background(), WorkerConfig{
+	_, err = RunWorker(workerCtx(t), WorkerConfig{
 		Coordinator: srv.URL, Tool: "testsweep", Fingerprint: "seed=1",
 	}, tasks)
 	wantCode(t, err, CodeSweepFailed)
@@ -286,7 +286,7 @@ func TestWorkerSurvivesCoordinatorRestart(t *testing.T) {
 	}
 	workerDone := make(chan error, 1)
 	go func() {
-		_, err := RunWorker(context.Background(), WorkerConfig{
+		_, err := RunWorker(workerCtx(t), WorkerConfig{
 			Coordinator: srv.URL, Tool: tool, Fingerprint: fp,
 			PollMax: 100 * time.Millisecond,
 		}, slowTasks)
@@ -364,4 +364,13 @@ func TestWorkerGivesUpOnVanishedCoordinator(t *testing.T) {
 	if stats.Ranges != 1 {
 		t.Errorf("committed %d ranges, want 1 (the range before the listener closed)", stats.Ranges)
 	}
+}
+
+// workerCtx bounds one test's RunWorker call: a worker left waiting on a
+// coordinator that has gone fails its test with a deadline error instead of
+// hanging the package until the test binary's timeout.
+func workerCtx(t *testing.T) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	t.Cleanup(cancel)
+	return ctx
 }

@@ -179,70 +179,6 @@ func (r *Result) Scale(f float64) {
 	r.LoadQOcc.scale(f)
 }
 
-// minHeap is a small binary min-heap of completion cycles.
-type minHeap []int64
-
-func (h *minHeap) push(v int64) {
-	*h = append(*h, v)
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if (*h)[p] <= (*h)[i] {
-			break
-		}
-		(*h)[p], (*h)[i] = (*h)[i], (*h)[p]
-		i = p
-	}
-}
-
-func (h *minHeap) pop() int64 {
-	old := *h
-	v := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && (*h)[l] < (*h)[m] {
-			m = l
-		}
-		if r < n && (*h)[r] < (*h)[m] {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		(*h)[i], (*h)[m] = (*h)[m], (*h)[i]
-		i = m
-	}
-	return v
-}
-
-// drain removes all heap entries <= cycle and returns how many were removed.
-func (h *minHeap) drain(cycle int64) int {
-	n := 0
-	for len(*h) > 0 && (*h)[0] <= cycle {
-		h.pop()
-		n++
-	}
-	return n
-}
-
-func (h *minHeap) min() (int64, bool) {
-	if len(*h) == 0 {
-		return 0, false
-	}
-	return (*h)[0], true
-}
-
-// timedEntry pairs a scheduler entry with the cycle its operands are ready.
-type timedEntry struct {
-	at int64
-	ei int32
-}
-
 // Sim runs programs on one CPU model, reusing internal buffers across runs.
 //
 // The in-flight state is structure-of-arrays: the reorder buffer is a set of
@@ -284,14 +220,19 @@ type Sim struct {
 	// Event-driven scheduler state, used for srcSafe bodies. An entry whose
 	// operands are all resolved has a final data-ready cycle (single-writer
 	// bodies: a sampled producer completion can never change): it waits in
-	// timeHeap until that cycle arrives, then moves to its fate group's
-	// ready list. Entries with unissued producers are parked on per-cell
-	// watcher lists: watchHead[cell] heads a list threaded through watchNext
-	// (node n watches the cell robSrc[n] names; n/3 is its ROB entry), and
-	// the producer's issue walks the list, folds its completion into each
+	// the matured wheel, bucketed by that cycle, and the first scan at or
+	// past it moves the whole bucket to the fate groups' ready lists. The
+	// order entries leave the wheel in is irrelevant, because insertReady
+	// places each by age. A data-ready cycle already in the past is stored as
+	// the current cycle; the next scan pops it either way, and the scan
+	// reads the wheel's minimum only after popping every bucket up to its
+	// cycle. Entries with unissued producers are parked on per-cell watcher
+	// lists: watchHead[cell] heads a list threaded through watchNext (node n
+	// watches the cell robSrc[n] names; n/3 is its ROB entry), and the
+	// producer's issue walks the list, folds its completion into each
 	// watcher's readyAt, and moves watchers whose last operand just resolved
-	// (waitCnt reaches zero) into timeHeap.
-	timeHeap  []timedEntry
+	// (waitCnt reaches zero) into the matured wheel.
+	matured   listWheel
 	waitCnt   []uint8
 	readyAt   []int64
 	watchHead []int32
@@ -336,9 +277,11 @@ type Sim struct {
 
 	portFree []int64
 
-	loadQ, storeQ minHeap
-	lfb           minHeap
-	inflight      minHeap
+	// Completion stamps of the memory queues and of every issued µop, as
+	// timing wheels (wheel.go).
+	loadQ, storeQ countWheel
+	lfb           countWheel
+	inflight      countWheel
 
 	// Per-CPU issue tables, built once in NewSim: classPorts[c] lists the
 	// ports accepting class c in ascending order (the same order the
@@ -409,13 +352,15 @@ func NewSim(cpu *isa.CPU) *Sim {
 	}
 	s.rs = make([]int32, 0, rsCap)
 	s.portFree = make([]int64, len(cpu.Ports))
-	s.loadQ = make(minHeap, 0, cpu.LoadQueue+1)
-	s.storeQ = make(minHeap, 0, cpu.StoreQueue+1)
-	// A gather checks only len < LineFillBuffers before pushing one entry
-	// per missing lane, so the fill-buffer heap can briefly exceed its
-	// nominal capacity; the margin keeps that growth allocation-free.
-	s.lfb = make(minHeap, 0, cpu.LineFillBuffers+64)
-	s.inflight = make(minHeap, 0, robCap)
+	// A queued stamp is rarely more than a memory latency plus an
+	// instruction latency past the cycle a wheel was last drained to; one
+	// that is grows the wheel once, and the Sim keeps the larger size.
+	span := cpu.MemLatency + 128
+	for _, q := range []*countWheel{&s.loadQ, &s.storeQ, &s.lfb, &s.inflight} {
+		q.init(span)
+	}
+	s.matured.init(span)
+	s.matured.next = make([]int32, robCap)
 
 	numClasses := len(isa.Port{}.Accepts)
 	s.classPorts = make([][]int8, numClasses)
@@ -439,49 +384,7 @@ func NewSim(cpu *isa.CPU) *Sim {
 	s.waitCnt = make([]uint8, robCap)
 	s.readyAt = make([]int64, robCap)
 	s.watchNext = make([]int32, 3*robCap)
-	s.timeHeap = make([]timedEntry, 0, robCap)
 	return s
-}
-
-// pushTimed adds entry ei, data-ready at cycle at, to the maturation heap.
-func (s *Sim) pushTimed(at int64, ei int32) {
-	h := append(s.timeHeap, timedEntry{at, ei})
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p].at <= h[i].at {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	s.timeHeap = h
-}
-
-func (s *Sim) popTimed() int32 {
-	h := s.timeHeap
-	ei := h[0].ei
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && h[l].at < h[m].at {
-			m = l
-		}
-		if r < n && h[r].at < h[m].at {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	s.timeHeap = h
-	return ei
 }
 
 // ageSeq is entry ei's position in program order: the order in which an
@@ -656,7 +559,7 @@ func (s *Sim) RunInto(res *Result, prog *Program, iters int64) error {
 		// sampled) and is skipped wholesale; the cycle still accounts as an
 		// ordinary zero-issue cycle.
 		issuedUops, issuedInstrs := 0, 0
-		if cycle >= s.rsNextReady && (len(s.rs) > 0 || len(s.timeHeap) > 0 || s.readyMask != 0) {
+		if cycle >= s.rsNextReady && (len(s.rs) > 0 || s.matured.busy > 0 || s.readyMask != 0) {
 			issuedUops, issuedInstrs = s.issueScan(res, cycle)
 		}
 		if Debug && cycle < 300 {
@@ -744,7 +647,7 @@ func (s *Sim) RunInto(res *Result, prog *Program, iters int64) error {
 				s.waitCnt[t] = uint8(waiting)
 				s.readyAt[t] = srcBound
 				if waiting == 0 {
-					s.pushTimed(srcBound, int32(t))
+					s.matured.push(srcBound, cycle, int32(t))
 					if srcBound < cycle+1 {
 						srcBound = cycle + 1
 					}
@@ -792,7 +695,7 @@ func (s *Sim) RunInto(res *Result, prog *Program, iters int64) error {
 			res.ROBOcc.Buckets[s.robOccLUT[s.uopsInROB]]++
 		}
 		if s.loadQOccLUT != nil {
-			res.LoadQOcc.Buckets[s.loadQOccLUT[len(s.loadQ)]]++
+			res.LoadQOcc.Buckets[s.loadQOccLUT[s.loadQ.len()]]++
 		}
 		for i, f := range s.portFree {
 			if f > cycle {
@@ -814,7 +717,7 @@ func (s *Sim) RunInto(res *Result, prog *Program, iters int64) error {
 					res.ROBOcc.Buckets[s.robOccLUT[s.uopsInROB]] += skipped
 				}
 				if s.loadQOccLUT != nil {
-					res.LoadQOcc.Buckets[s.loadQOccLUT[len(s.loadQ)]] += skipped
+					res.LoadQOcc.Buckets[s.loadQOccLUT[s.loadQ.len()]] += skipped
 				}
 				for i, f := range s.portFree {
 					if b := min(f, next) - cycle - 1; b > 0 {
@@ -863,13 +766,15 @@ func (s *Sim) RunInto(res *Result, prog *Program, iters int64) error {
 // of a blocked group reuse its recorded retry bound. A group therefore
 // issues a prefix of its list, which is dropped at the end.
 func (s *Sim) issueScan(res *Result, cycle int64) (issuedUops, issuedInstrs int) {
-	for len(s.timeHeap) > 0 && s.timeHeap[0].at <= cycle {
-		s.insertReady(s.popTimed())
+	for h := s.matured.pop(cycle); h >= 0; h = s.matured.pop(cycle) {
+		for ei := h; ei >= 0; ei = s.matured.next[ei] {
+			s.insertReady(ei)
+		}
 	}
 	if len(s.rs) == 0 && s.readyMask == 0 {
 		// Every waiting entry is event-tracked with a future ready cycle:
-		// the heap minimum (non-empty here) is the exact next.
-		s.rsNextReady = s.timeHeap[0].at
+		// the wheel minimum (non-empty here) is the exact next.
+		s.rsNextReady = s.matured.lo
 		return 0, 0
 	}
 	// Snapshot port availability once; claims clear bits as the scan
@@ -892,8 +797,8 @@ func (s *Sim) issueScan(res *Result, cycle int64) (issuedUops, issuedInstrs int)
 	s.portMask = pm
 
 	minNext := int64(math.MaxInt64)
-	if len(s.timeHeap) > 0 {
-		minNext = s.timeHeap[0].at
+	if s.matured.busy > 0 {
+		minNext = s.matured.lo
 	}
 	sk := s.skel
 	slab := s.slab
@@ -1034,7 +939,7 @@ func (s *Sim) commitIssue(res *Result, ei, b int32, lat int, cycle int64) int {
 			}
 			s.waitCnt[we]--
 			if s.waitCnt[we] == 0 {
-				s.pushTimed(s.readyAt[we], we)
+				s.matured.push(s.readyAt[we], cycle, we)
 			}
 		}
 		s.watchHead[o] = -1
@@ -1076,14 +981,14 @@ func (s *Sim) reset() {
 		s.groupReady[g] = s.groupReady[g][:0]
 	}
 	s.readyMask = 0
-	s.timeHeap = s.timeHeap[:0]
+	s.matured.reset()
 	for i := range s.portFree {
 		s.portFree[i] = 0
 	}
-	s.loadQ = s.loadQ[:0]
-	s.storeQ = s.storeQ[:0]
-	s.lfb = s.lfb[:0]
-	s.inflight = s.inflight[:0]
+	s.loadQ.reset()
+	s.storeQ.reset()
+	s.lfb.reset()
+	s.inflight.reset()
 	s.rsNextReady = 0
 }
 
@@ -1099,13 +1004,13 @@ func (s *Sim) tryIssue(ei, b int32, cycle int64) (latency int, ok bool) {
 	s.lastPort, s.lastLevel = -1, 0
 	switch sk.class[b] {
 	case isa.Load:
-		if len(s.loadQ) >= s.cpu.LoadQueue || len(s.lfb) >= s.cpu.LineFillBuffers {
+		if s.loadQ.n >= s.cpu.LoadQueue || s.lfb.n >= s.cpu.LineFillBuffers {
 			t := cycle + 1
-			if len(s.loadQ) >= s.cpu.LoadQueue && s.loadQ[0] > t {
-				t = s.loadQ[0]
+			if s.loadQ.n >= s.cpu.LoadQueue && s.loadQ.lo > t {
+				t = s.loadQ.lo
 			}
-			if len(s.lfb) >= s.cpu.LineFillBuffers && s.lfb[0] > t {
-				t = s.lfb[0]
+			if s.lfb.n >= s.cpu.LineFillBuffers && s.lfb.lo > t {
+				t = s.lfb.lo
 			}
 			s.retryAt = t
 			return 0, false
@@ -1134,13 +1039,13 @@ func (s *Sim) tryIssue(ei, b int32, cycle int64) (latency int, ok bool) {
 		// entries (line-combining in the fill buffers) and keep both load
 		// ports busy for the occupancy window.
 		lqSlots := int(sk.lqSlots[b])
-		if len(s.loadQ)+lqSlots > s.cpu.LoadQueue || len(s.lfb) >= s.cpu.LineFillBuffers {
+		if s.loadQ.n+lqSlots > s.cpu.LoadQueue || s.lfb.n >= s.cpu.LineFillBuffers {
 			t := cycle + 1
-			if len(s.loadQ)+lqSlots > s.cpu.LoadQueue && len(s.loadQ) > 0 && s.loadQ[0] > t {
-				t = s.loadQ[0]
+			if s.loadQ.n+lqSlots > s.cpu.LoadQueue && s.loadQ.n > 0 && s.loadQ.lo > t {
+				t = s.loadQ.lo
 			}
-			if len(s.lfb) >= s.cpu.LineFillBuffers && s.lfb[0] > t {
-				t = s.lfb[0]
+			if s.lfb.n >= s.cpu.LineFillBuffers && s.lfb.lo > t {
+				t = s.lfb.lo
 			}
 			s.retryAt = t
 			return 0, false
@@ -1199,10 +1104,10 @@ func (s *Sim) tryIssue(ei, b int32, cycle int64) (latency int, ok bool) {
 		return lat, true
 
 	case isa.Store:
-		if len(s.storeQ) >= s.cpu.StoreQueue {
+		if s.storeQ.n >= s.cpu.StoreQueue {
 			t := cycle + 1
-			if len(s.storeQ) > 0 && s.storeQ[0] > t {
-				t = s.storeQ[0]
+			if s.storeQ.n > 0 && s.storeQ.lo > t {
+				t = s.storeQ.lo
 			}
 			s.retryAt = t
 			return 0, false
@@ -1229,10 +1134,10 @@ func (s *Sim) tryIssue(ei, b int32, cycle int64) (latency int, ok bool) {
 		// Sequential-stream prefetches are serviced by the L2 streamer path
 		// and bypass the L1 fill buffers.
 		isStream := sk.isStream[b]
-		if !isStream && len(s.lfb) >= s.cpu.LineFillBuffers {
+		if !isStream && s.lfb.n >= s.cpu.LineFillBuffers {
 			t := cycle + 1
-			if s.lfb[0] > t {
-				t = s.lfb[0]
+			if s.lfb.lo > t {
+				t = s.lfb.lo
 			}
 			s.retryAt = t
 			return 0, false

@@ -201,15 +201,15 @@ func (s *Sim) classifyStall(cycle int64) stallKind {
 	// Operands ready: an execution resource is the blocker.
 	switch sk.class[b] {
 	case isa.Load:
-		if len(s.loadQ) >= s.cpu.LoadQueue || len(s.lfb) >= s.cpu.LineFillBuffers {
+		if s.loadQ.n >= s.cpu.LoadQueue || s.lfb.n >= s.cpu.LineFillBuffers {
 			return stallMemory
 		}
 	case isa.GatherOp:
-		if len(s.loadQ)+int(sk.lqSlots[b]) > s.cpu.LoadQueue || len(s.lfb) >= s.cpu.LineFillBuffers {
+		if s.loadQ.n+int(sk.lqSlots[b]) > s.cpu.LoadQueue || s.lfb.n >= s.cpu.LineFillBuffers {
 			return stallMemory
 		}
 	case isa.Store:
-		if len(s.storeQ) >= s.cpu.StoreQueue {
+		if s.storeQ.n >= s.cpu.StoreQueue {
 			return stallMemory
 		}
 	}

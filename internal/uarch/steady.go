@@ -3,7 +3,6 @@ package uarch
 import (
 	"bytes"
 	"encoding/binary"
-	"slices"
 
 	"hef/internal/cache"
 	"hef/internal/check"
@@ -60,12 +59,11 @@ type steadyState struct {
 	ring     [steadyRing]steadySnap
 	next     int
 
-	addrs   []uint64
-	lines   []uint64
-	buf     []byte
-	heapTmp []int64
-	regTmp  []int64
-	whTmp   []int32
+	addrs  []uint64
+	lines  []uint64
+	buf    []byte
+	regTmp []int64
+	whTmp  []int32
 
 	skippedIters  int64
 	skippedCycles int64
@@ -77,13 +75,13 @@ type steadyState struct {
 	// recording is set while the period after a detected recurrence is
 	// re-simulated slowly with every hierarchy call captured; tryIssue's
 	// memory paths consult it.
-	recording    bool
-	recStartIter int64
+	recording     bool
+	recStartIter  int64
 	recStartCycle int64
-	recP, recD   int64
-	recDigest    []byte
-	recRes       Result
-	recCalls     []recCall
+	recP, recD    int64
+	recDigest     []byte
+	recRes        Result
+	recCalls      []recCall
 
 	// invariantErr records a steadyDeltaCheck violation found while
 	// extrapolating (when self-checks are enabled); RunInto surfaces it as
@@ -292,7 +290,7 @@ func (st *steadyState) encode(s *Sim, cycle, dispatchIter int64, dispatchIdx int
 	// scheduler exactly when they issue, so it is always the unissued ROB
 	// entries in age order — fully determined by the per-entry issued flags
 	// above, in both scheduler modes. (The event scheduler's watcher lists,
-	// maturation heap, and ready set are equally derived from the ROB and
+	// matured wheel, and ready lists are equally derived from the ROB and
 	// slab contents; states with equal digests replay identically however
 	// that derived state is partitioned.)
 	for _, f := range s.portFree {
@@ -302,16 +300,19 @@ func (st *steadyState) encode(s *Sim, cycle, dispatchIter int64, dispatchIdx int
 		}
 		u64(uint64(c))
 	}
-	// Heap layout is irrelevant to behaviour (drain removes every entry at
-	// or below the cycle, min only reads the minimum), so the multiset of
-	// pending completions is the canonical form.
-	for _, h := range []*minHeap{&s.loadQ, &s.storeQ, &s.lfb, &s.inflight} {
-		u64(uint64(len(*h)))
-		tmp := append(st.heapTmp[:0], *h...)
-		slices.Sort(tmp)
-		st.heapTmp = tmp
-		for _, v := range tmp {
-			u64(uint64(v - cycle))
+	// Each queue is a multiset of pending completions, all past the cycle
+	// (the drains ran first); its count and its stamps in ascending order
+	// are the canonical form.
+	for _, q := range []*countWheel{&s.loadQ, &s.storeQ, &s.lfb, &s.inflight} {
+		u64(uint64(q.n))
+		for t, left := q.lo, q.n; left > 0; {
+			k := q.count(t)
+			for range k {
+				u64(uint64(t - cycle))
+			}
+			if left -= k; left > 0 {
+				t = q.nextFrom(t + 1)
+			}
 		}
 	}
 	// Live register-ring window: slots minIter-1 (loop-carried reads of the
@@ -414,14 +415,10 @@ func (s *Sim) shiftSteady(kp, kd, minIter, dispatchIter int64, dispatchIdx int) 
 		// unaffected; only the cell → list-head mapping rotates).
 		copy(s.watchHead[base:base+nr], wtmp[i*nr:(i+1)*nr])
 	}
-	for _, h := range []*minHeap{&s.loadQ, &s.storeQ, &s.lfb, &s.inflight} {
-		for i := range *h {
-			(*h)[i] += kd
-		}
+	for _, q := range []*countWheel{&s.loadQ, &s.storeQ, &s.lfb, &s.inflight} {
+		q.shift(kd)
 	}
-	for i := range s.timeHeap {
-		s.timeHeap[i].at += kd
-	}
+	s.matured.shift(kd)
 	for i := range s.portFree {
 		s.portFree[i] += kd
 	}
