@@ -89,7 +89,10 @@ type OptimizeOptions struct {
 	Budget int
 	// Parallel selects the wave-based parallel search engine with that
 	// many evaluator workers (0 keeps the classic serial walk). The search
-	// result is byte-identical for every setting.
+	// result is byte-identical for every setting. The serial walk is not
+	// single-threaded: it hands each expansion's siblings to
+	// SimEvaluator.EvaluateBatch, which measures them on up to GOMAXPROCS
+	// simulators.
 	Parallel int
 	// Memo, when non-nil, caches candidate measurements by content
 	// fingerprint; repeat measurements (re-measuring searched nodes,

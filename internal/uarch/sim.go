@@ -11,12 +11,6 @@ import (
 )
 
 const (
-	// regRingSlots is the number of iterations whose register instances are
-	// tracked concurrently. It exceeds the maximum number of in-flight
-	// iterations (bounded by the ROB, 224 µops) with margin.
-	regRingSlots = 512
-	// regRingMask turns an iteration number into its ring slot (power of 2).
-	regRingMask = regRingSlots - 1
 	// notIssued marks a register instance whose producer has not issued.
 	notIssued = int64(-1)
 	// issueInstrCap bounds the instructions issued per cycle (port count).
@@ -183,7 +177,7 @@ func (r *Result) Scale(f float64) {
 //
 // The in-flight state is structure-of-arrays: the reorder buffer is a set of
 // parallel arrays indexed by ring position, and register readiness lives in
-// one flat completion slab of regRingSlots × NumRegs cells. At dispatch each
+// one flat completion slab of ringSlots × NumRegs cells. At dispatch each
 // entry's operand cells are resolved to slab offsets (robSrc/robDst), so the
 // per-cycle readiness check is a handful of indexed loads with no pointer
 // chasing through the program structure. Every arena is sized at
@@ -252,10 +246,12 @@ type Sim struct {
 	headSeq      [maxFateGroups]int64
 	blockedRetry [maxFateGroups]int64
 
-	// slab is the register completion ring: cell (iter&regRingMask)*numRegs
+	// slab is the register completion ring: cell (iter&ringMask)*numRegs
 	// + reg holds the completion cycle of that register instance, or
-	// notIssued.
-	slab []int64
+	// notIssued. bind sizes it to the bound program (see ringSlotsFor).
+	slab      []int64
+	ringSlots int
+	ringMask  int64
 
 	// rsNextReady is a lower bound on the next cycle at which any scheduler
 	// entry could issue. Slab cells, port horizons, and memory queues change
@@ -491,7 +487,9 @@ func (s *Sim) RunInto(res *Result, prog *Program, iters int64) error {
 	res.LoadQOcc.Cap = cpu.LoadQueue
 	nr := sk.numRegs
 	slab := s.slab
+	mask := s.ringMask
 	bodyLen := sk.bodyLen
+	ringCheck := check.Enabled()
 
 	var cycle int64
 	var dispatchIter int64
@@ -582,8 +580,16 @@ func (s *Sim) RunInto(res *Result, prog *Program, iters int64) error {
 			if s.uopsInROB+uops > cpu.ROBSize || s.rsCount >= cpu.RSSize || s.robCount >= len(s.robBody) {
 				break
 			}
-			sameBase := int(dispatchIter&regRingMask) * nr
+			sameBase := int(dispatchIter&mask) * nr
 			if b == 0 {
+				// Live register instances span the ROB head's iteration − 1
+				// up to this one; the slot about to be cleared must not be
+				// one of them (see ringSlotsFor).
+				if ringCheck && s.robCount > 0 {
+					if live := s.robIter[s.robHead] - 1; dispatchIter-live >= int64(s.ringSlots) {
+						return fmt.Errorf("uarch: selfcheck %q: dispatching iteration %d clears the register slot of live iteration %d (%d-slot ring)", prog.Name, dispatchIter, live, s.ringSlots)
+					}
+				}
 				cells := slab[sameBase : sameBase+nr]
 				for i := range cells {
 					cells[i] = notIssued
@@ -619,7 +625,7 @@ func (s *Sim) RunInto(res *Result, prog *Program, iters int64) error {
 					if dispatchIter == 0 {
 						continue // pre-loop value, always ready
 					}
-					o = int32(int((dispatchIter-1)&regRingMask)*nr + int(sk.srcReg[b*3+k]))
+					o = int32(int((dispatchIter-1)&mask)*nr + int(sk.srcReg[b*3+k]))
 				default:
 					continue
 				}

@@ -2,6 +2,7 @@ package uarch
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -294,9 +295,10 @@ func buildSkeleton(prog *Program, lj, oj float64, seed uint64) *skeleton {
 }
 
 // bind attaches the skeleton for (prog, perturb) to the simulator and sizes
-// the register slab for its register count. The common case — re-running the
-// program bound last time under the same timing perturbation — is a pointer
-// comparison: no validation, no hashing, no allocation.
+// the register ring for its body length and register count. The common
+// case — re-running the program bound last time under the same timing
+// perturbation — is a pointer comparison: no validation, no hashing, no
+// allocation.
 func (s *Sim) bind(prog *Program) error {
 	lj, oj, seed := normalizePerturb(s.perturb)
 	if s.skel != nil && s.skelProg == prog && s.skelLat == lj && s.skelOcc == oj && s.skelSeed == seed {
@@ -313,15 +315,34 @@ func (s *Sim) bind(prog *Program) error {
 	s.skel = sk
 	s.skelProg = prog
 	s.skelLat, s.skelOcc, s.skelSeed = lj, oj, seed
-	if need := regRingSlots * sk.numRegs; cap(s.slab) < need {
+	s.sizeRing(ringSlotsFor(len(s.robBody), sk.bodyLen))
+	for len(s.groupReady) < sk.numGroups {
+		s.groupReady = append(s.groupReady, make([]int32, 0, len(s.robBody)))
+	}
+	return nil
+}
+
+// ringSlotsFor returns the register ring's slot count for a body of bodyLen
+// µops on a ROB of robCap entries: the smallest power of two of at least
+// (robCap−1)/bodyLen + 3. A slot is cleared only when an iteration's first
+// µop dispatches, and the live register instances then span the ROB head's
+// iteration − 1 up to the dispatching iteration. The ROB holds at most
+// robCap entries, the new one included, so the dispatching iteration is at
+// most (robCap−1)/bodyLen + 1 past the head's: the live window never
+// exceeds the ring and a cleared slot is never live.
+func ringSlotsFor(robCap, bodyLen int) int {
+	return 1 << bits.Len(uint((robCap-1)/bodyLen+2))
+}
+
+// sizeRing gives the register ring slots slots (a power of two), reusing the
+// slab's capacity when it suffices.
+func (s *Sim) sizeRing(slots int) {
+	s.ringSlots, s.ringMask = slots, int64(slots-1)
+	if need := slots * s.skel.numRegs; cap(s.slab) < need {
 		s.slab = make([]int64, need)
 		s.watchHead = make([]int32, need)
 	} else {
 		s.slab = s.slab[:need]
 		s.watchHead = s.watchHead[:need]
 	}
-	for len(s.groupReady) < sk.numGroups {
-		s.groupReady = append(s.groupReady, make([]int32, 0, len(s.robBody)))
-	}
-	return nil
 }

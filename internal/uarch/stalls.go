@@ -169,7 +169,7 @@ func (s *Sim) classifyStall(cycle int64) stallKind {
 	// slot, which the memory-producer attribution needs).
 	iter := s.robIter[h]
 	nr := sk.numRegs
-	base := int(iter&regRingMask) * nr
+	base := int(iter&s.ringMask) * nr
 	ready := true
 	memBlocked := false
 	for k := 0; k < 3; k++ {
@@ -181,7 +181,7 @@ func (s *Sim) classifyStall(cycle int64) stallKind {
 			if iter == 0 {
 				continue
 			}
-			o = int((iter-1)&regRingMask)*nr + int(sk.srcReg[int(b)*3+k])
+			o = int((iter-1)&s.ringMask)*nr + int(sk.srcReg[int(b)*3+k])
 		default:
 			continue
 		}

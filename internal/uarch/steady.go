@@ -319,14 +319,14 @@ func (st *steadyState) encode(s *Sim, cycle, dispatchIter int64, dispatchIdx int
 	// oldest in-flight iteration) up to the dispatch front. The front
 	// iteration's slot is live only once its first instruction has
 	// dispatched (which cleared it); before that it holds dead values from
-	// regRingSlots iterations ago.
+	// ringSlots iterations ago.
 	hi := dispatchIter
 	if dispatchIdx > 0 {
 		hi = dispatchIter + 1
 	}
 	nr := s.skel.numRegs
 	for j := minIter - 1; j < hi; j++ {
-		base := int(j&regRingMask) * nr
+		base := int(j&s.ringMask) * nr
 		for _, v := range s.slab[base : base+nr] {
 			switch {
 			case v == notIssued:
@@ -353,10 +353,10 @@ func (st *steadyState) encode(s *Sim, cycle, dispatchIter int64, dispatchIdx int
 // slots its shifted iteration numbers index.
 func (s *Sim) shiftSteady(kp, kd, minIter, dispatchIter int64, dispatchIdx int) {
 	nr := s.skel.numRegs
-	ringLen := regRingSlots * nr
+	ringLen := s.ringSlots * nr
 	// The shifted iteration numbers index ring slots rotated by kp, so every
 	// resolved slab offset rotates with them.
-	rot := int(kp&regRingMask) * nr
+	rot := int(kp&s.ringMask) * nr
 	robLen := len(s.robBody)
 	for idx := 0; idx < s.robCount; idx++ {
 		e := (s.robHead + idx) % robLen
@@ -398,12 +398,12 @@ func (s *Sim) shiftSteady(kp, kd, minIter, dispatchIter int64, dispatchIdx int) 
 	}
 	wtmp := s.steady.whTmp[:need]
 	for i := 0; i < w; i++ {
-		base := int((minIter-1+int64(i))&regRingMask) * nr
+		base := int((minIter-1+int64(i))&s.ringMask) * nr
 		copy(tmp[i*nr:(i+1)*nr], s.slab[base:base+nr])
 		copy(wtmp[i*nr:(i+1)*nr], s.watchHead[base:base+nr])
 	}
 	for i := 0; i < w; i++ {
-		base := int((minIter-1+int64(i)+kp)&regRingMask) * nr
+		base := int((minIter-1+int64(i)+kp)&s.ringMask) * nr
 		dst := s.slab[base : base+nr]
 		for r, v := range tmp[i*nr : (i+1)*nr] {
 			if v != notIssued {
