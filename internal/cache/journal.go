@@ -12,9 +12,8 @@ package cache
 // single struct copy, so a committed window costs little more than the
 // accesses themselves.
 //
-// Snapshots serve the evaluator's shared-warm-prefix batching: one deep copy
-// of the post-warm state, restored per sibling candidate instead of
-// re-running the warm loop.
+// Snapshots back WarmState: one deep copy of the post-warm state, restored
+// per measurement instead of re-running the warm loop.
 
 // journalEntry records one set's contents before its first mutation inside
 // the open window. The tags live in the journal's shared arena.
@@ -127,18 +126,22 @@ type Snapshot struct {
 // Valid reports whether the snapshot holds a saved state.
 func (sn *Snapshot) Valid() bool { return sn.valid }
 
-// Invalidate empties the snapshot.
-func (sn *Snapshot) Invalidate() { sn.valid = false }
-
-// Save deep-copies the hierarchy state into sn, reusing its buffers.
+// Save deep-copies the hierarchy state into sn, reusing its buffers when
+// they are large enough and otherwise allocating them at exactly the size
+// the state needs.
 func (h *Hierarchy) Save(sn *Snapshot) {
 	for li, l := range []*level{h.l1, h.l2, h.llc} {
-		tags := sn.tags[li][:0]
+		n := 0
+		for _, o := range l.occ {
+			n += int(o)
+		}
+		tags := resize(sn.tags[li], n)[:0]
 		for s := range l.occ {
 			tags = append(tags, l.set(uint64(s))...)
 		}
 		sn.tags[li] = tags
-		sn.occ[li] = append(sn.occ[li][:0], l.occ...)
+		sn.occ[li] = resize(sn.occ[li], len(l.occ))
+		copy(sn.occ[li], l.occ)
 	}
 	sn.streams = h.streams
 	sn.accessNo = h.accessNo
@@ -146,15 +149,26 @@ func (h *Hierarchy) Save(sn *Snapshot) {
 	sn.valid = true
 }
 
+// resize returns buf with length n, reusing its backing array when it is
+// large enough.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
 // Restore overwrites the hierarchy state from sn. The hierarchy must have
 // the geometry sn was saved from.
 func (h *Hierarchy) Restore(sn *Snapshot) {
 	for li, l := range []*level{h.l1, h.l2, h.llc} {
 		copy(l.occ, sn.occ[li])
-		off := 0
+		tags := sn.tags[li]
 		for s, n := range l.occ {
-			copy(l.tags[s*l.ways:], sn.tags[li][off:off+int(n)])
-			off += int(n)
+			if n != 0 {
+				copy(l.tags[s*l.ways:], tags[:n])
+				tags = tags[n:]
+			}
 		}
 	}
 	h.streams = sn.streams

@@ -10,7 +10,9 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
+	"hef/internal/cache"
 	"hef/internal/engine"
 	"hef/internal/hid"
 	"hef/internal/isa"
@@ -287,16 +289,16 @@ func planStage(cpu *isa.CPU, stage Stage, kind EngineKind) (*stagePlan, error) {
 	return pl, nil
 }
 
-// measurePlan simulates one planned stage measurement: a fresh hierarchy
-// with the LLC-fitting random regions warmed, then a single run — a pure
-// function of the plan, which is what makes the memo cache exact.
-func measurePlan(cpu *isa.CPU, name string, pl *stagePlan) (*uarch.Result, error) {
-	sim := uarch.NewSim(cpu)
+// measurePlan simulates one planned stage measurement on sim: the plan's
+// warm state (a reset hierarchy with the LLC-fitting random regions
+// warmed), then a single run — a pure function of the plan, which is what
+// makes the memo cache exact. warm must hold the plan's warm list.
+func measurePlan(sim *uarch.Sim, warm *cache.WarmState, name string, pl *stagePlan) (*uarch.Result, error) {
 	if err := sim.Err(); err != nil {
 		return nil, fmt.Errorf("experiments: stage %s: %w", name, err)
 	}
-	for _, w := range pl.warm {
-		sim.Hierarchy().Warm(w.Base, w.Region)
+	if err := warm.Apply(sim.Hierarchy()); err != nil {
+		return nil, fmt.Errorf("experiments: stage %s: %w", name, err)
 	}
 	res, err := sim.Run(pl.prog, pl.iters)
 	if err != nil {
@@ -305,12 +307,78 @@ func measurePlan(cpu *isa.CPU, name string, pl *stagePlan) (*uarch.Result, error
 	return res, nil
 }
 
+// stageMeasurer measures the distinct stages of one figure. It reuses
+// simulators across stages and gives each warm group one warm state,
+// created by the group's first stage that measures and dropped once its
+// last stage has ended, so only the groups of the stages in flight hold a
+// snapshot.
+type stageMeasurer struct {
+	cpu *isa.CPU
+
+	mu   sync.Mutex
+	free []*uarch.Sim
+	// live counts the warm states currently held; peak, the most held at
+	// once.
+	live, peak int
+}
+
+// warmGroup is the stages of a figure that share one warm list. Its fields
+// are guarded by the measurer's mutex.
+type warmGroup struct {
+	ranges    []memo.WarmRange
+	remaining int // stages not yet ended
+	warm      *cache.WarmState
+}
+
+func newStageMeasurer(cpu *isa.CPU) *stageMeasurer {
+	return &stageMeasurer{cpu: cpu}
+}
+
+// measure simulates w on a reused simulator from its group's warm state.
+func (m *stageMeasurer) measure(w plannedStage) (*uarch.Result, error) {
+	m.mu.Lock()
+	g := w.group
+	if g.warm == nil {
+		g.warm = cache.NewWarmState(g.ranges)
+		m.live++
+		m.peak = max(m.peak, m.live)
+	}
+	warm := g.warm
+	var sim *uarch.Sim
+	if n := len(m.free); n > 0 {
+		sim, m.free = m.free[n-1], m.free[:n-1]
+	}
+	m.mu.Unlock()
+	if sim == nil {
+		sim = uarch.NewSim(m.cpu)
+	}
+	res, err := measurePlan(sim, warm, w.name, w.pl)
+	if err == nil {
+		m.mu.Lock()
+		m.free = append(m.free, sim)
+		m.mu.Unlock()
+	}
+	return res, err
+}
+
+// done ends stage w, whether it hit the memo, failed or measured, and
+// drops its group's warm state after the group's last stage.
+func (m *stageMeasurer) done(w plannedStage) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	g := w.group
+	if g.remaining--; g.remaining == 0 && g.warm != nil {
+		g.warm = nil
+		m.live--
+	}
+}
+
 // runStage translates and simulates one stage, scaling the counters to the
 // stage's nominal element count. Random regions that fit in the LLC are
 // warmed first so node comparisons reflect steady state. A non-nil cache
 // serves repeat measurements (stages shared across queries and engines)
 // from their fingerprint; a nil cache always simulates.
-func runStage(cpu *isa.CPU, stage Stage, kind EngineKind, cache *memo.Cache) (*uarch.Result, error) {
+func runStage(cpu *isa.CPU, stage Stage, kind EngineKind, mc *memo.Cache) (*uarch.Result, error) {
 	if stage.Elems == 0 {
 		return &uarch.Result{Name: stage.Name, FreqGHz: cpu.Freq.ScalarGHz}, nil
 	}
@@ -318,12 +386,12 @@ func runStage(cpu *isa.CPU, stage Stage, kind EngineKind, cache *memo.Cache) (*u
 	if err != nil {
 		return nil, err
 	}
-	res, ok := cache.Get(pl.key)
+	res, ok := mc.Get(pl.key)
 	if !ok {
-		if res, err = measurePlan(cpu, stage.Name, pl); err != nil {
+		if res, err = measurePlan(uarch.NewSim(cpu), cache.NewWarmState(pl.warm), stage.Name, pl); err != nil {
 			return nil, err
 		}
-		cache.Put(pl.key, res)
+		mc.Put(pl.key, res)
 	}
 	res.Name = stage.Name
 	res.Scale(float64(stage.Elems) / float64(res.Elems))

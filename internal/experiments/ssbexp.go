@@ -104,7 +104,7 @@ func RunFigure(cfg FigureConfig) (*Figure, error) {
 		stats[q.ID] = fres.Stats
 	}
 	if cfg.Memo != nil {
-		if err := premeasureFigure(cpu, qs, stats, cfg.NominalSF, engines, cfg.Memo, cfg.Parallel); err != nil {
+		if err := premeasureFigure(newStageMeasurer(cpu), qs, stats, cfg.NominalSF, engines, cfg.Memo, cfg.Parallel); err != nil {
 			return nil, err
 		}
 	}
@@ -121,24 +121,28 @@ func RunFigure(cfg FigureConfig) (*Figure, error) {
 	return fig, nil
 }
 
-// premeasureFigure simulates every distinct stage measurement of the figure
-// exactly once, concurrently when parallel > 1. Deduplicating by fingerprint
-// before dispatch — rather than letting concurrent cells race to measure the
-// same stage — both avoids duplicate simulations and keeps the cache
-// counters independent of the worker count, so a figure report is
-// byte-identical for every Parallel setting.
-func premeasureFigure(cpu *isa.CPU, qs []queries.Query, stats map[string]queries.Stats, nominalSF float64, engines []EngineKind, cache *memo.Cache, parallel int) error {
-	type work struct {
-		name string
-		pl   *stagePlan
-	}
-	var todo []work
+// plannedStage is one distinct stage measurement of a figure and the warm
+// group it belongs to.
+type plannedStage struct {
+	name  string
+	pl    *stagePlan
+	group *warmGroup
+}
+
+// figurePlans lists the figure's distinct stage measurements, deduplicated
+// by fingerprint and ordered so that stages sharing a warm list — one warm
+// group — are adjacent (groups in order of first reference, stages in
+// order of first reference within a group).
+func figurePlans(cpu *isa.CPU, qs []queries.Query, stats map[string]queries.Stats, nominalSF float64, engines []EngineKind) ([]plannedStage, error) {
+	var lists []string
+	byList := map[string][]plannedStage{}
+	groups := map[string]*warmGroup{}
 	seen := map[memo.Key]bool{}
 	for _, q := range qs {
 		for _, kind := range engines {
 			stages, err := buildStages(q, stats[q.ID], nominalSF, kind)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			for _, st := range stages {
 				if st.Elems == 0 {
@@ -146,25 +150,53 @@ func premeasureFigure(cpu *isa.CPU, qs []queries.Query, stats map[string]queries
 				}
 				pl, err := planStage(cpu, st, kind)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				if seen[pl.key] {
 					continue
 				}
 				seen[pl.key] = true
-				todo = append(todo, work{name: st.Name, pl: pl})
+				k := fmt.Sprint(pl.warm)
+				g := groups[k]
+				if g == nil {
+					g = &warmGroup{ranges: pl.warm}
+					groups[k] = g
+					lists = append(lists, k)
+				}
+				g.remaining++
+				byList[k] = append(byList[k], plannedStage{name: st.Name, pl: pl, group: g})
 			}
 		}
 	}
-	measure := func(w work) error {
-		if _, ok := cache.Get(w.pl.key); ok {
+	var todo []plannedStage
+	for _, k := range lists {
+		todo = append(todo, byList[k]...)
+	}
+	return todo, nil
+}
+
+// premeasureFigure simulates every distinct stage measurement of the figure
+// exactly once on m, concurrently when parallel > 1. Deduplicating by
+// fingerprint before dispatch — rather than letting concurrent cells race
+// to measure the same stage — both avoids duplicate simulations and keeps
+// the cache counters independent of the worker count, so a figure report
+// is byte-identical for every Parallel setting. Stages sharing a warm list
+// run back to back, so m holds about one warm state per worker.
+func premeasureFigure(m *stageMeasurer, qs []queries.Query, stats map[string]queries.Stats, nominalSF float64, engines []EngineKind, mc *memo.Cache, parallel int) error {
+	todo, err := figurePlans(m.cpu, qs, stats, nominalSF, engines)
+	if err != nil {
+		return err
+	}
+	measure := func(w plannedStage) error {
+		defer m.done(w)
+		if _, ok := mc.Get(w.pl.key); ok {
 			return nil // pre-populated by the caller (a shared cache)
 		}
-		res, err := measurePlan(cpu, w.name, w.pl)
+		res, err := m.measure(w)
 		if err != nil {
 			return err
 		}
-		cache.Put(w.pl.key, res)
+		mc.Put(w.pl.key, res)
 		return nil
 	}
 	if parallel <= 1 || len(todo) < 2 {

@@ -337,3 +337,93 @@ func TestConcurrentBatchPerturbReachesHelpers(t *testing.T) {
 		}
 	}
 }
+
+// TestSharedWarmWaveSearchBytes: a wave search of bloom, whose filter is
+// warmed before every measurement, on two workers — the evaluator and its
+// fork starting from one shared warm state, built by whichever measures
+// first — must serialize to the same bytes as the per-node search on a
+// fresh evaluator.
+func TestSharedWarmWaveSearchBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two full searches")
+	}
+	cpu, err := isa.ByName("silver")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl := engine.BloomTemplate(1 << 20)
+	initial, err := hef.InitialNode(cpu, tmpl, cpu.NativeWidth())
+	if err != nil {
+		t.Fatal(err)
+	}
+	search := func(eval hef.Evaluator, workers int) []byte {
+		t.Helper()
+		res, err := hef.SearchContext(t.Context(), eval, initial, hef.DefaultBounds, hef.SearchOpts{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		js, err := obs.SearchJSON(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return js
+	}
+	perNode := search(serialOnly{hef.NewSimEvaluator(cpu, tmpl, cpu.NativeWidth(), 1<<12)}, 0)
+	var wave []byte
+	withProcs(2, func() { wave = search(hef.NewSimEvaluator(cpu, tmpl, cpu.NativeWidth(), 1<<12), 2) })
+	if !bytes.Equal(perNode, wave) {
+		t.Error("SearchJSON bytes diverged between the per-node search and the two-worker wave search")
+	}
+}
+
+// TestSharedWarmPerturbedLineage: on a perturbed machine (cache-latency
+// jitter in the CPU model, instruction jitter through SetPerturb), a fork
+// that builds the lineage's warm state and the original's batch helpers
+// that restore it must cost every node as a perturbed per-node evaluator
+// of its own does, and the batches must fork once per miss after the
+// first.
+func TestSharedWarmPerturbedLineage(t *testing.T) {
+	p := &uarch.Perturb{Seed: 5, LatJitter: 0.2, OccJitter: 0.2, CacheJitter: 0.2}
+	cpu := p.CPU(isa.XeonSilver4110())
+	tmpl := engine.ProbeTemplate(1 << 20)
+	newEval := func() *hef.SimEvaluator {
+		ev := hef.NewSimEvaluator(cpu, tmpl, cpu.NativeWidth(), 1<<12)
+		ev.SetPerturb(p)
+		return ev
+	}
+	_, _, n := batchFixture(t)
+	ref := newEval()
+	want := make([]float64, len(n))
+	for i, nd := range n {
+		var err error
+		if want[i], err = ref.Evaluate(nd); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ev := newEval()
+	fork := ev.Fork()
+	for i, nd := range n {
+		got, err := fork.Evaluate(nd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want[i] {
+			t.Errorf("fork: node %v costs %v, per-node %v", nd, got, want[i])
+		}
+	}
+	tally := &forkTally{SimEvaluator: ev}
+	forksBefore := hef.BatchForks()
+	var secs []float64
+	var err error
+	withProcs(4, func() { secs, err = tally.EvaluateBatch(n) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(secs, want) {
+		t.Errorf("batch on helpers: costs %v, per-node %v", secs, want)
+	}
+	if forks := hef.BatchForks() - forksBefore; tally.wantForks == 0 || forks != tally.wantForks {
+		t.Errorf("batch forked %d times, want %d (> 0)", forks, tally.wantForks)
+	}
+}

@@ -36,9 +36,9 @@ type BatchEvaluator interface {
 	EvaluateBatch(ns []Node) (secs []float64, err error)
 }
 
-// batchForks counts sibling evaluations that forked the shared post-warm
-// hierarchy state instead of replaying the warm loop; the telemetry layer
-// polls it through BatchForks.
+// batchForks counts the sibling measurements of each batch after its
+// first: the ones that fork the batch's shared starting state. The
+// telemetry layer polls it through BatchForks.
 var batchForks atomic.Uint64
 
 // BatchForks reports the number of batch-evaluation state forks since
@@ -58,12 +58,13 @@ type SimEvaluator struct {
 	memo    *memo.Cache
 	traced  bool
 
-	// warmSnap holds the shared post-Reset+Warm hierarchy state a batch's
-	// siblings fork from. helpers are the extra simulators a batch measures
+	// warm is the hierarchy state every measurement starts from, shared by
+	// the evaluator, its forks and its helpers and built by whichever
+	// measures first. helpers are the extra simulators a batch measures
 	// siblings on, created on first use and kept for the evaluator's
 	// lifetime.
-	warmSnap cache.Snapshot
-	helpers  []*uarch.Sim
+	warm    *cache.WarmState
+	helpers []*uarch.Sim
 
 	// Evaluations counts Evaluate calls, for pruning-savings reports.
 	Evaluations int
@@ -83,7 +84,8 @@ func NewSimEvaluator(cpu *isa.CPU, tmpl *hid.Template, width isa.Width, elems in
 	if elems <= 0 {
 		elems = DefaultTestElems
 	}
-	return &SimEvaluator{cpu: cpu, tmpl: tmpl, width: width, elems: elems, sim: uarch.NewSim(cpu)}
+	return &SimEvaluator{cpu: cpu, tmpl: tmpl, width: width, elems: elems, sim: uarch.NewSim(cpu),
+		warm: cache.NewWarmState(warmRanges(cpu, tmpl))}
 }
 
 // SetTraceLog attaches a per-instruction lifecycle recorder to the
@@ -117,13 +119,12 @@ func (e *SimEvaluator) SetPerturb(p *uarch.Perturb) {
 
 // Fork implements ForkableEvaluator: the clone measures nodes identically
 // (same CPU model, template, width, test size, and perturbation) on its own
-// fresh simulator, so forks are safe to run concurrently. Each run resets
-// the cache hierarchy before measuring, so a fresh simulator times nodes
-// exactly like the original. Trace logs do not carry over (a shared log
-// would interleave nondeterministically); the fork's Evaluations counter
-// starts at zero.
+// fresh simulator, so forks are safe to run concurrently. It shares the
+// original's warm state, so the lineage warms its working set once. Trace
+// logs do not carry over (a shared log would interleave
+// nondeterministically); the fork's Evaluations counter starts at zero.
 func (e *SimEvaluator) Fork() Evaluator {
-	f := NewSimEvaluator(e.cpu, e.tmpl, e.width, e.elems)
+	f := &SimEvaluator{cpu: e.cpu, tmpl: e.tmpl, width: e.width, elems: e.elems, sim: uarch.NewSim(e.cpu), warm: e.warm}
 	f.SetPerturb(e.perturb)
 	f.SetMemo(e.memo)
 	return f
@@ -147,30 +148,26 @@ func cost(n Node, res *uarch.Result) (float64, error) {
 }
 
 // EvaluateBatch implements BatchEvaluator: the sibling candidates of one
-// search expansion all start from the same measurement prefix — a reset
-// hierarchy with the template's random regions warmed — so the batch warms
-// the hierarchy once, saves that state, and forks each further sibling from
-// the snapshot rather than rebuilding it per node. Siblings are measured
-// concurrently, min(GOMAXPROCS, len(ns)) at a time, on the evaluator's own
-// simulator and on helper simulators of the same machine; with a trace log
-// attached they run one at a time on the evaluator's simulator. Results are
+// search expansion all start from the evaluator's warm state, so they are
+// independent measurements. Siblings are measured concurrently,
+// min(GOMAXPROCS, len(ns)) at a time, on the evaluator's own simulator and
+// on helper simulators of the same machine; with a trace log attached they
+// run one at a time on the evaluator's simulator. Results are
 // bit-identical to serial Evaluate calls, and the Evaluations count, the
 // memo's hit and miss counts and the number of forks (BatchForks) match
 // what the batch would count measuring its siblings one at a time.
 //
 // The memo is consulted in sibling order: every sibling is looked up before
 // any is measured, except that a sibling whose key repeats an earlier
-// missing one is looked up after that one's result is stored. The first
-// missing sibling runs on the evaluator's own warmed hierarchy and every
-// other miss restores the snapshot, so the batch makes misses − 1 forks.
-// Results are stored, and costs returned, in sibling order up to the first
+// missing one is looked up after that one's result is stored. Every miss
+// after the first forks the warm state, so the batch makes misses − 1
+// forks. Results are stored, and costs returned, in sibling order up to the first
 // failure; once a sibling fails, no sibling is started after it.
 func (e *SimEvaluator) EvaluateBatch(ns []Node) ([]float64, error) {
 	if err := e.sim.Err(); err != nil {
 		return nil, err
 	}
 	useMemo := e.memo != nil && !e.traced
-	warm := e.warmRanges()
 	sibs := make([]sibling, 0, len(ns))
 	var stop error // the translation failure of ns[len(sibs)], if any
 	var jobs []int
@@ -178,7 +175,7 @@ func (e *SimEvaluator) EvaluateBatch(ns []Node) ([]float64, error) {
 		sb := sibling{dup: -1}
 		if _, stop = safeEvaluate(evalFunc(func(n Node) (float64, error) {
 			var err error
-			sb.m, err = e.prepare(n, warm)
+			sb.m, err = e.prepare(n)
 			return 0, err
 		}), n); stop != nil {
 			break
@@ -198,7 +195,7 @@ func (e *SimEvaluator) EvaluateBatch(ns []Node) ([]float64, error) {
 		sibs = append(sibs, sb)
 	}
 	if len(jobs) > 0 {
-		e.measureJobs(ns, sibs, jobs, warm)
+		e.measureJobs(ns, sibs, jobs)
 	}
 
 	secs := make([]float64, 0, len(sibs))
@@ -240,21 +237,17 @@ type sibling struct {
 	// served from the memo once that sibling's result is stored.
 	miss bool
 	dup  int
-	// forked marks a miss measured from the restored snapshot; evaluated,
-	// one whose throwaway run succeeded. Both are tallied in sibling order.
+	// forked marks a miss measured after the batch's first; evaluated, one
+	// whose throwaway run succeeded. Both are tallied in sibling order.
 	forked, evaluated bool
 	err               error
 }
 
-// measureJobs resets and warms the evaluator's hierarchy, saves it, and
-// measures the missing siblings sibs[jobs[k]] on up to GOMAXPROCS
-// simulators (one when traced), taking jobs in order. Job 0 runs on the
-// evaluator's own simulator with no restore; every other job restores the
-// snapshot. No job is started once one has failed.
-func (e *SimEvaluator) measureJobs(ns []Node, sibs []sibling, jobs []int, warm []memo.WarmRange) {
-	hier := e.sim.Hierarchy()
-	warmUp(hier, warm)
-	hier.Save(&e.warmSnap)
+// measureJobs measures the missing siblings sibs[jobs[k]] on up to
+// GOMAXPROCS simulators (one when traced), taking jobs in order, each from
+// the warm state. Job 0 runs on the evaluator's own simulator. No job is
+// started once one has failed.
+func (e *SimEvaluator) measureJobs(ns []Node, sibs []sibling, jobs []int) {
 	width := min(runtime.GOMAXPROCS(0), len(jobs))
 	if e.traced {
 		width = 1
@@ -268,12 +261,9 @@ func (e *SimEvaluator) measureJobs(ns []Node, sibs []sibling, jobs []int, warm [
 	run := func(sim *uarch.Sim, k int) {
 		sb := &sibs[jobs[k]]
 		_, sb.err = safeEvaluate(evalFunc(func(Node) (float64, error) {
-			if k > 0 {
-				sim.Hierarchy().Restore(&e.warmSnap)
-				sb.forked = true
-			}
+			sb.forked = k > 0
 			var err error
-			sb.res, err = measure(sim, &sb.m, func() { sb.evaluated = true })
+			sb.res, err = e.measure(sim, &sb.m, func() { sb.evaluated = true })
 			return 0, err
 		}), ns[jobs[k]])
 		if sb.err != nil {
@@ -320,32 +310,31 @@ type measurement struct {
 
 // prepare translates n and, when a memo is in use, fingerprints its
 // measurement.
-func (e *SimEvaluator) prepare(n Node, warm []memo.WarmRange) (measurement, error) {
+func (e *SimEvaluator) prepare(n Node) (measurement, error) {
 	out, err := translator.Translate(e.tmpl, n, translator.Options{Width: e.width, CPU: e.cpu})
 	if err != nil {
 		return measurement{}, err
 	}
 	m := measurement{prog: out.Program, iters: max(e.elems/int64(out.ElemsPerIter), 1)}
 	if e.memo != nil && !e.traced {
-		m.key = memo.Fingerprint(memo.ProtoEvaluator, e.cpu, e.perturb, m.prog, m.iters, warm)
+		m.key = memo.Fingerprint(memo.ProtoEvaluator, e.cpu, e.perturb, m.prog, m.iters, e.warm.Ranges())
 	}
 	return m, nil
 }
 
-// warmUp resets h and warms the template's random regions: the state every
-// measurement starts from.
-func warmUp(h *cache.Hierarchy, warm []memo.WarmRange) {
-	h.Reset()
-	for _, w := range warm {
-		h.Warm(w.Base, w.Region)
+// measure runs m on sim from the warm state: one throwaway run to settle
+// the stream prefetcher, then the measured run. settled is called between
+// the two, the point at which the node counts in Evaluations.
+//
+// Every node is measured under identical cache conditions: a reset
+// hierarchy with the LLC-fitting random regions (hash tables, lookup
+// tables) warmed. Without the reset, lines touched by earlier candidates
+// would stay resident and bias later candidates. The warm state is built
+// once per evaluator lineage and restored for every later measurement.
+func (e *SimEvaluator) measure(sim *uarch.Sim, m *measurement, settled func()) (*uarch.Result, error) {
+	if err := e.warm.Apply(sim.Hierarchy()); err != nil {
+		return nil, err
 	}
-}
-
-// measure runs m on sim, whose hierarchy holds the warmed state: one
-// throwaway run to settle the stream prefetcher, then the measured run.
-// settled is called between the two, the point at which the node counts in
-// Evaluations.
-func measure(sim *uarch.Sim, m *measurement, settled func()) (*uarch.Result, error) {
 	if _, err := sim.Run(m.prog, m.iters); err != nil {
 		return nil, err
 	}
@@ -353,14 +342,14 @@ func measure(sim *uarch.Sim, m *measurement, settled func()) (*uarch.Result, err
 	return sim.Run(m.prog, m.iters)
 }
 
-// Run translates and simulates the node, returning the full counter set
-// (used by the experiment harness for the paper's tables).
+// Run translates and simulates the node from the lineage's warm state,
+// returning the full counter set (used by the experiment harness for the
+// paper's tables).
 func (e *SimEvaluator) Run(n Node) (*uarch.Result, error) {
 	if err := e.sim.Err(); err != nil {
 		return nil, err
 	}
-	warm := e.warmRanges()
-	m, err := e.prepare(n, warm)
+	m, err := e.prepare(n)
 	if err != nil {
 		return nil, err
 	}
@@ -373,32 +362,21 @@ func (e *SimEvaluator) Run(n Node) (*uarch.Result, error) {
 			return res, nil
 		}
 	}
-	// Every node is measured under identical cache conditions: a reset
-	// hierarchy with LLC-fitting random regions (hash tables, lookup
-	// tables) warmed, then one throwaway run to settle the stream
-	// prefetcher. Without the reset, lines touched by earlier candidates
-	// would stay resident and bias later candidates. A batch's siblings
-	// share that prefix, so EvaluateBatch saves the post-warm state once and
-	// forks the rest from the snapshot instead of replaying the warm loop.
-	// (The access clock is restored with it; every cache decision and every
-	// reported counter depends only on clock deltas, so the fork measures
-	// exactly what a replayed warm would.)
-	warmUp(e.sim.Hierarchy(), warm)
-	res, err := measure(e.sim, &m, func() { e.Evaluations++ })
+	res, err := e.measure(e.sim, &m, func() { e.Evaluations++ })
 	if err == nil && useMemo {
 		e.memo.Put(m.key, res)
 	}
 	return res, err
 }
 
-// warmRanges lists the regions Run warms before measuring: every
-// random-access template parameter that fits in the LLC, in parameter
-// order. The list is part of the memo fingerprint.
-func (e *SimEvaluator) warmRanges() []memo.WarmRange {
+// warmRanges lists the regions warmed before every measurement of tmpl on
+// cpu: every random-access template parameter that fits in the LLC, in
+// parameter order. The list is part of the memo fingerprint.
+func warmRanges(cpu *isa.CPU, tmpl *hid.Template) []memo.WarmRange {
 	var w []memo.WarmRange
-	for _, p := range e.tmpl.Params {
-		if p.Pattern == hid.RandomRegion && p.Region > 0 && p.Region <= uint64(e.cpu.LLC.SizeBytes) {
-			w = append(w, memo.WarmRange{Base: translator.ParamBase(e.tmpl, p.Name), Region: p.Region})
+	for _, p := range tmpl.Params {
+		if p.Pattern == hid.RandomRegion && p.Region > 0 && p.Region <= uint64(cpu.LLC.SizeBytes) {
+			w = append(w, memo.WarmRange{Base: translator.ParamBase(tmpl, p.Name), Region: p.Region})
 		}
 	}
 	return w

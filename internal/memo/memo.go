@@ -19,6 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"hef/internal/cache"
 	"hef/internal/fpenc"
 	"hef/internal/isa"
 	"hef/internal/uarch"
@@ -38,15 +39,13 @@ const (
 	// ProtoEvaluator is SimEvaluator.Run: reset the hierarchy, warm the
 	// LLC-resident regions, one throwaway run, one measured run.
 	ProtoEvaluator Protocol = iota + 1
-	// ProtoStage is the experiment harness's stage timing: a fresh
+	// ProtoStage is the experiment harness's stage timing: a reset
 	// hierarchy, warm, and a single measured run.
 	ProtoStage
 )
 
 // WarmRange is one region warmed into the hierarchy before measuring.
-type WarmRange struct {
-	Base, Region uint64
-}
+type WarmRange = cache.WarmRange
 
 // enc is the canonical encoding accumulator shared with the skeleton cache
 // (internal/fpenc); the method aliases keep this package's encoders readable.
